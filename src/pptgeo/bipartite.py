@@ -21,6 +21,8 @@ RANK_TOL = 1e-10
 # resolve singular values below sqrt(machine eps); eigenvalues under this
 # floor are numerical noise and are treated as exact zeros.
 EIG_NOISE_FLOOR = 1e-14
+# A state is PPT when its smallest partial-transpose eigenvalue is >= -PPT_TOL.
+PPT_TOL = 1e-9
 
 
 class MultiplicityNegative(ValueError):
@@ -56,17 +58,18 @@ def _matrix_of(rho) -> np.ndarray:
 def partial_transpose(rho, split: BipartiteSplit) -> np.ndarray:
     """Transpose the B indices: out[(i,k),(j,l)] = in[(i,l),(j,k)].
 
-    Accepts a DensityMatrix or a Hermitian matrix; returns a plain Hermitian
-    ndarray (the result generally leaves the PSD cone).  Entry permutation
-    only, so the trace is preserved exactly.
+    Accepts a DensityMatrix, a Hermitian matrix or a (k, N, N) stack of
+    them; returns a plain Hermitian ndarray of the same shape (the result
+    generally leaves the PSD cone).  Entry permutation only, so the trace
+    is preserved exactly.
     """
     mat = _matrix_of(rho)
-    split.check_dim(mat.shape[0])
+    split.check_dim(mat.shape[-1])
     m, n = split.m, split.n
     return (
-        mat.reshape(m, n, m, n)
-        .transpose(0, 3, 2, 1)
-        .reshape(split.dim, split.dim)
+        mat.reshape(*mat.shape[:-2], m, n, m, n)
+        .swapaxes(-1, -3)
+        .reshape(mat.shape)
     )
 
 
@@ -154,8 +157,17 @@ class PptCheck(NamedTuple):
     min_pt_eigenvalue: float
 
 
-def is_ppt(rho: DensityMatrix, split: BipartiteSplit, tol: float = 1e-9) -> PptCheck:
+def is_ppt(rho: DensityMatrix, split: BipartiteSplit, tol: float = PPT_TOL) -> PptCheck:
     """PPT test: positive iff the partial transpose stays in the PSD cone."""
     sigma = as_hermitian(partial_transpose(rho, split))
     lo = float(np.linalg.eigvalsh(sigma)[0])
     return PptCheck(ppt=lo >= -tol, min_pt_eigenvalue=lo)
+
+
+def min_pt_eigenvalues(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:
+    """Smallest partial-transpose eigenvalue of each state in a (k, N, N) stack.
+
+    One stacked eigen-solve and no re-validation: the stack must hold
+    exactly Hermitian matrices, as `states.shell_batch` returns them.
+    """
+    return np.linalg.eigvalsh(partial_transpose(states, split))[:, 0]

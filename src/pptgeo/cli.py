@@ -18,7 +18,8 @@ from . import harness, serialize
 from .bipartite import BipartiteSplit, partial_transpose, pt_spectrum_analytic, schmidt
 from .bounds import bounds_table, classify
 from .distill import find_schmidt2_witness, witness_expectation
-from .states import DensityMatrix, PureState
+from .linalg import NoConvergence
+from .states import DensityMatrix, PureState, ShellUnreachable
 
 
 def _parse_split(text: str) -> BipartiteSplit:
@@ -224,7 +225,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = args.run(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, NoConvergence, ShellUnreachable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(text, args.out)

@@ -16,7 +16,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import serialize
-from .bipartite import BipartiteSplit, is_ppt, partial_transpose, pt_spectrum_analytic, schmidt
+from .bipartite import (
+    PPT_TOL,
+    BipartiteSplit,
+    is_ppt,
+    min_pt_eigenvalues,
+    partial_transpose,
+    pt_spectrum_analytic,
+    schmidt,
+)
 from .bounds import BoundsTable, ball_radius, bounds_table, werner_pm
 from .linalg import hs_distance
 from .states import (
@@ -25,7 +33,8 @@ from .states import (
     PureState,
     WernerParams,
     maximally_mixed,
-    shell_attempt,
+    shell_batch,
+    shell_chunk,
     standard_normals,
     werner,
 )
@@ -166,24 +175,27 @@ def shell_scan(total_dim: int, split: BipartiteSplit, radii, samples_per_shell: 
         raise ValueError("samples_per_shell must be >= 1")
 
     rows = []
-    worst_state, worst_radius, worst_min_pt = None, None, np.inf
+    chunk = shell_chunk(total_dim)
+    worst_matrix, worst_radius, worst_min_pt = None, None, np.inf
     for index, radius in enumerate(radii):
         rng = np.random.default_rng(base_seed + index)
         accepted = 0
         ppt_count = 0
         min_pt = np.inf
-        for _ in range(samples_per_shell):
-            state = shell_attempt(rng, total_dim, radius)
-            if state is None:
+        for start in range(0, samples_per_shell, chunk):
+            states = shell_batch(rng, total_dim, radius, min(chunk, samples_per_shell - start))
+            if not len(states):
                 continue
-            accepted += 1
-            check = is_ppt(state, split)
-            ppt_count += int(check.ppt)
-            min_pt = min(min_pt, check.min_pt_eigenvalue)
-            if capture_worst and check.min_pt_eigenvalue < worst_min_pt:
-                worst_state = state
+            floors = min_pt_eigenvalues(states, split)
+            accepted += len(states)
+            ppt_count += int(np.count_nonzero(floors >= -PPT_TOL))
+            lowest = int(np.argmin(floors))
+            floor = float(floors[lowest])
+            min_pt = min(min_pt, floor)
+            if capture_worst and floor < worst_min_pt:
+                worst_matrix = states[lowest].copy()
                 worst_radius = radius
-                worst_min_pt = check.min_pt_eigenvalue
+                worst_min_pt = floor
         rows.append(ShellRow(
             radius=radius,
             samples=samples_per_shell,
@@ -192,6 +204,7 @@ def shell_scan(total_dim: int, split: BipartiteSplit, radii, samples_per_shell: 
             ppt_fraction=(ppt_count / accepted) if accepted else 0.0,
             min_pt_eig=min_pt if accepted else float("nan"),
         ))
+    worst_state = None if worst_matrix is None else DensityMatrix(dim=total_dim, matrix=worst_matrix)
     return ShellReport(
         total_dim=total_dim,
         split=split,

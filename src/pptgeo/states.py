@@ -3,8 +3,9 @@
 Sampling follows the Hilbert-Schmidt (Ginibre) measure: rho = G G† / Tr(G G†)
 with G a square matrix of independent standard complex Gaussians.  Streams are
 reproducible: PCG64 supplies uniforms and Gaussians come from a vectorized
-Box-Muller transform, so a seed pins the output bit-for-bit.  The generator
-identity string is recorded in every report header.
+Box-Muller transform, so a seed pins the output bit-for-bit.  Shell samples
+are drawn in stacks whose output and stream match drawing them one at a
+time.  The generator identity string is recorded in every report header.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatch, as_hermitian
+from .linalg import DimensionMismatch, NotHermitian, as_hermitian
 
 GENERATOR_ID = "pcg64+box-muller"
 
@@ -21,6 +22,13 @@ DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_PSD_TOL = 1e-9
 PURE_NORM_TOL = 1e-12
+# Shell acceptance is deliberately stricter than DENSITY_PSD_TOL, so the
+# acceptance eigen-solve already proves every accepted sample PSD and no
+# second solve is needed before it leaves the sampler.
+SHELL_PSD_TOL = 1e-12
+# Shell samples are stacked so that one N x N complex stack takes about this
+# many bytes: 256 samples at N = 4, 16 at N = 16.  It bounds peak memory.
+SHELL_CHUNK_BYTES = 64 * 1024
 
 DEFAULT_MAX_REJECTS = 10_000
 
@@ -33,15 +41,22 @@ class ShellUnreachable(RuntimeError):
     """Rejection sampling failed to land a PSD matrix on the requested shell."""
 
 
+def _box_muller(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine normals from uniforms of shape (..., 2, pairs).
+
+    Row 0 of the pair axis feeds the radius and row 1 the angle, so one
+    PCG64 draw of that shape is the stream order of drawing all u1, then all
+    u2, one set of pairs after another.
+    """
+    # 1 - random() lies in (0, 1], keeping the log finite.
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[..., 0, :]))
+    angle = 2.0 * np.pi * u[..., 1, :]
+    return radius * np.cos(angle), radius * np.sin(angle)
+
+
 def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     """n standard normals via Box-Muller on PCG64 uniforms."""
-    pairs = (n + 1) // 2
-    # 1 - random() lies in (0, 1], keeping the log finite.
-    u1 = 1.0 - rng.random(pairs)
-    u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+    return np.concatenate(_box_muller(rng.random((2, (n + 1) // 2))))[:n]
 
 
 def complex_ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -170,21 +185,52 @@ def sample_hs_random(dim: int, seed: int) -> DensityMatrix:
     return sample_hs(np.random.default_rng(seed), dim)
 
 
-def shell_attempt(rng: np.random.Generator, dim: int, radius: float,
-                  psd_tol: float = 1e-12) -> DensityMatrix | None:
-    """One attempt at a state on the shell of HS radius `radius` around I/N.
+def shell_chunk(dim: int) -> int:
+    """Samples per stacked shell solve at dimension `dim`."""
+    return max(1, SHELL_CHUNK_BYTES // (16 * dim * dim))
 
-    Draws an HS-random state, rescales its traceless part to the target
-    norm, and returns None when the result leaves the PSD cone.
+
+def shell_batch(rng: np.random.Generator, dim: int, radius: float, count: int) -> np.ndarray:
+    """`count` attempts at states on the shell of HS radius `radius` around I/N.
+
+    Each attempt draws an HS-random state, rescales its traceless part to
+    the target norm, and is rejected when the result leaves the PSD cone
+    (smallest eigenvalue below -SHELL_PSD_TOL).  Returns the accepted states
+    as a (k, N, N) stack, each Hermitian to the bit and of unit trace.
+
+    The attempts are stacked, but every stacked operation is elementwise or
+    per matrix, and the trace and norm are reduced one sample at a time, so
+    the result and the generator stream are bit-identical to `count`
+    single attempts.
     """
+    re, im = _box_muller(rng.random((count, 2, dim * dim)))
+    g = (re + 1j * im).reshape(count, dim, dim)
+    w = g @ g.conj().transpose(0, 2, 1)
+    traces = np.array([np.trace(x).real for x in w])
+    rho0 = w / traces[:, None, None]
+    # Symmetrized as DensityMatrix stores an HS state.
+    rho0 = (rho0 + rho0.conj().transpose(0, 2, 1)) / 2
+
     eye = np.eye(dim, dtype=np.complex128) / dim
-    rho0 = sample_hs(rng, dim)
-    delta = rho0.matrix - eye
-    scale = radius / float(np.linalg.norm(delta))
-    candidate = eye + scale * delta
-    if float(np.linalg.eigvalsh(candidate)[0]) < -psd_tol:
-        return None
-    return DensityMatrix(dim=dim, matrix=candidate)
+    delta = rho0 - eye
+    norms = np.array([np.linalg.norm(x) for x in delta])
+    candidates = eye + (radius / norms)[:, None, None] * delta
+    accepted = candidates[np.linalg.eigvalsh(candidates)[:, 0] >= -SHELL_PSD_TOL]
+
+    adjoint = accepted.conj().transpose(0, 2, 1)
+    dev = float(np.max(np.abs(accepted - adjoint), initial=0.0))
+    if dev > DENSITY_HERM_TOL:
+        raise NotHermitian(f"shell sample deviates from Hermitian by {dev:.3e}")
+    trace_dev = float(np.max(np.abs(np.trace(accepted, axis1=1, axis2=2).real - 1.0), initial=0.0))
+    if trace_dev > DENSITY_TRACE_TOL:
+        raise ValueError(f"shell sample trace deviates from 1 by {trace_dev:.3e}")
+    return (accepted + adjoint) / 2
+
+
+def shell_attempt(rng: np.random.Generator, dim: int, radius: float) -> DensityMatrix | None:
+    """One shell attempt (see shell_batch); None when it leaves the PSD cone."""
+    accepted = shell_batch(rng, dim, radius, 1)
+    return DensityMatrix(dim=dim, matrix=accepted[0]) if len(accepted) else None
 
 
 def sample_on_shell(dim: int, radius: float, seed: int,

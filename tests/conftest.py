@@ -21,6 +21,38 @@ def reference_partial_transpose(mat, m, n):
     return out
 
 
+def reference_shell_attempt(rng, dim, radius, psd_tol=1e-12):
+    """One shell attempt, drawn and computed one sample at a time with numpy only.
+
+    Box-Muller on PCG64 uniforms (u1 for all N^2 pairs, then u2), the
+    symmetrized HS state G G† / Tr(G G†), its traceless part rescaled to HS
+    norm `radius`, rejected when the smallest eigenvalue is below -psd_tol.
+    Returns the symmetrized accepted matrix, or None.
+    """
+    n2 = dim * dim
+    u1 = 1.0 - rng.random(n2)
+    u2 = rng.random(n2)
+    r = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    g = np.concatenate([r * np.cos(angle), r * np.sin(angle)])
+    g = (g[:n2] + 1j * g[n2:]).reshape(dim, dim)
+    w = g @ g.conj().T
+    rho0 = w / np.trace(w).real
+    rho0 = (rho0 + rho0.conj().T) / 2
+    eye = np.eye(dim, dtype=np.complex128) / dim
+    delta = rho0 - eye
+    candidate = eye + radius / float(np.linalg.norm(delta)) * delta
+    if float(np.linalg.eigvalsh(candidate)[0]) < -psd_tol:
+        return None
+    return (candidate + candidate.conj().T) / 2
+
+
+def reference_min_pt_eigenvalue(mat, m, n):
+    """Smallest eigenvalue of the symmetrized index-by-index partial transpose."""
+    pt = reference_partial_transpose(mat, m, n)
+    return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
+
+
 def werner_min_pt_oracle(d, p):
     """Closed-form minimum PT eigenvalue of the d x d Werner family."""
     return (1 - p) / (d * d) - p / d

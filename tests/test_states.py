@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pptgeo.bipartite import BipartiteSplit, is_ppt
+from pptgeo.bipartite import BipartiteSplit, is_ppt, min_pt_eigenvalues
 from pptgeo.linalg import DimensionMismatch, hs_distance
 from pptgeo.states import (
     DensityMatrix,
@@ -18,11 +18,13 @@ from pptgeo.states import (
     pure_density,
     sample_hs_random,
     sample_on_shell,
+    shell_batch,
+    shell_chunk,
     standard_normals,
     werner,
 )
 
-from conftest import werner_min_pt_oracle
+from conftest import reference_min_pt_eigenvalue, reference_shell_attempt, werner_min_pt_oracle
 
 
 # --- validation --------------------------------------------------------------
@@ -213,6 +215,50 @@ def test_shell_acceptance_nonincreasing_report():
         rates.append(accepted / 300)
     print(f"shell acceptance by radius (N=4): {rates}")
     assert all(0.0 <= rate <= 1.0 for rate in rates)
+
+
+# --- batched shell kernel vs the per-sample reference ---------------------
+
+# Radii in units of the spectral floor 1/sqrt(N(N-1)): the first mixes PPT
+# and NPT samples, the second also rejects some attempts.
+SHELL_CASES = {4: ((2, 2), (1.5, 2.0)), 6: ((2, 3), (1.7, 2.2)),
+               9: ((3, 3), (2.2, 2.8)), 16: ((4, 4), (2.2, 3.8))}
+
+
+def test_shell_chunk_budget():
+    assert shell_chunk(4) == 256
+    assert shell_chunk(16) == 16
+    assert shell_chunk(64) == 1
+
+
+@pytest.mark.parametrize("dim", sorted(SHELL_CASES))
+def test_shell_batch_bit_identical_to_per_sample_reference(dim):
+    (m, n), factors = SHELL_CASES[dim]
+    chunk = shell_chunk(dim)
+    split = BipartiteSplit(m, n)
+    rejected = npt = ppt = 0
+    for factor in factors:
+        radius = factor / np.sqrt(dim * (dim - 1))
+        for count in (1, chunk - 1, chunk, chunk + 1):
+            seed = [dim, count, int(factor * 10)]
+            ref_rng = np.random.default_rng(seed)
+            attempts = [reference_shell_attempt(ref_rng, dim, radius) for _ in range(count)]
+            expected = [a for a in attempts if a is not None]
+            rng = np.random.default_rng(seed)
+            batch = shell_batch(rng, dim, radius, count)
+
+            assert batch.shape == (len(expected), dim, dim)
+            for got, want in zip(batch, expected):
+                assert got.tobytes() == want.tobytes()
+            floors = min_pt_eigenvalues(batch, split) if len(batch) else np.empty(0)
+            want_floors = [reference_min_pt_eigenvalue(a, m, n) for a in expected]
+            assert floors.tobytes() == np.array(want_floors, dtype=np.float64).tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+            rejected += count - len(expected)
+            npt += int(np.sum(floors < -1e-9))
+            ppt += int(np.sum(floors >= -1e-9))
+    assert rejected > 0 and npt > 0 and ppt > 0
 
 
 # --- distance identity (Werner family) ---------------------------------------
