@@ -17,7 +17,7 @@ import numpy as np
 from . import harness, serialize
 from .bipartite import BipartiteSplit, partial_transpose, pt_spectrum_analytic, schmidt
 from .bounds import bounds_table, classify
-from .distill import find_schmidt2_witness, witness_expectation
+from .distill import DEFAULT_RESTARTS, find_schmidt2_witness, witness_expectation
 from .linalg import NoConvergence
 from .states import DensityMatrix, PureState, ShellUnreachable
 
@@ -60,6 +60,16 @@ def _load_pure(path: str) -> tuple[PureState, tuple[int, int] | None]:
     return PureState(dim=arr.size, amplitudes=arr), factors
 
 
+def _resolve_split(split: BipartiteSplit | None,
+                   factors: tuple[int, int] | None) -> BipartiteSplit:
+    """The --split argument, else the factors recorded in the input file."""
+    if split is not None:
+        return split
+    if factors:
+        return BipartiteSplit(*factors)
+    raise ValueError("no split given and none recorded in the input file")
+
+
 def _cmd_bounds(args) -> str:
     table = bounds_table(args.d, args.n)
     obj = {
@@ -77,10 +87,7 @@ def _cmd_bounds(args) -> str:
 
 def _cmd_classify(args) -> str:
     state, factors = _load_density(args.input)
-    split = args.split if args.split is not None else (
-        BipartiteSplit(*factors) if factors else None)
-    if split is None:
-        raise ValueError("no split given and none recorded in the input file")
+    split = _resolve_split(args.split, factors)
     d = split.m
     if split.m != split.n:
         raise ValueError("bounds tables need a symmetric d x d split")
@@ -103,10 +110,7 @@ def _cmd_classify(args) -> str:
 
 def _cmd_pt_spectrum(args) -> str:
     psi, factors = _load_pure(args.input)
-    split = args.split if args.split is not None else (
-        BipartiteSplit(*factors) if factors else None)
-    if split is None:
-        raise ValueError("no split given and none recorded in the input file")
+    split = _resolve_split(args.split, factors)
     sd = schmidt(psi, split)
     analytic = pt_spectrum_analytic(sd, split)
     outer = np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -142,10 +146,7 @@ def _cmd_claim_check(args) -> str:
 
 def _cmd_distill_witness(args) -> str:
     state, factors = _load_density(args.input)
-    split = args.split if args.split is not None else (
-        BipartiteSplit(*factors) if factors else None)
-    if split is None:
-        raise ValueError("no split given and none recorded in the input file")
+    split = _resolve_split(args.split, factors)
     result = find_schmidt2_witness(state, split, restarts=args.restarts, seed=args.seed)
     obj = {
         "header": serialize.report_header(seed=args.seed),
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distill-witness", help="search for a Schmidt-rank-2 PT witness")
     p.add_argument("--input", required=True, help="matrix JSON file")
     p.add_argument("--split", type=_parse_split)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(run=_cmd_distill_witness)

@@ -5,7 +5,11 @@ negative expectation against the partial transpose.  Complete search is
 intractable, so this module runs an alternating subspace minimization: the
 partial transpose is compressed to S (x) T blocks with dim(S) = dim(T) = 2,
 whose ground vectors automatically have Schmidt rank <= 2, and the
-subspaces are re-fit to each candidate's local supports.
+subspaces are re-fit to each candidate's local supports.  All restarts run
+as one stack: each alternating step is one stacked eigen-solve or SVD per
+stage over the restarts still running, and the compressions contract the
+reshaped partial transpose with the subspaces directly.  Each restart keeps
+its own seeded start and its own stopping rule.
 
 The result is one-sided: `found` certifies a witness (re-checkable from the
 returned vector), while a non-found outcome is inconclusive, never a proof
@@ -41,48 +45,73 @@ class WitnessResult:
     restarts_used: int
 
 
-def _random_isometry(rng: np.random.Generator, dim: int, cols: int) -> np.ndarray:
-    g = standard_normals(rng, 2 * dim * cols)
-    z = (g[: dim * cols] + 1j * g[dim * cols :]).reshape(dim, cols)
-    q, _ = np.linalg.qr(z)
-    return q[:, :cols]
+def _start_subspaces(seed: int, restarts: int, m: int) -> np.ndarray:
+    """Stacked random m x 2 isometries; restart k draws from default_rng(seed + k)."""
+    g = np.stack([standard_normals(np.random.default_rng(seed + k), 4 * m)
+                  for k in range(restarts)])
+    z = (g[:, : 2 * m] + 1j * g[:, 2 * m :]).reshape(restarts, m, 2)
+    return np.linalg.qr(z)[0]
 
 
-def _compressed_minimum(sigma: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Ground pair of the 4x4 compression (A (x) B)† sigma (A (x) B)."""
-    k = np.kron(a, b)
-    w, v = np.linalg.eigh(k.conj().T @ sigma @ k)
-    return float(w[0]), k @ v[:, 0]
+def _compress(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x† t x on the first tensor factor, for each restart.
+
+    t is an operator on C^m (x) C^c of shape (m, c, m, c), or a stack
+    (R, m, c, m, c) of them; x is a stack (R, m, 2) of isometries.  Returns
+    M[r, p, a, q, b] = sum_ij conj(x[r, i, p]) t[r, i, a, j, b] x[r, j, q].
+    """
+    r, m = x.shape[:2]
+    c = t.shape[-1]
+    y = t.swapaxes(-1, -2).reshape(*t.shape[:-4], m * c * c, m) @ x
+    z = x.conj().swapaxes(1, 2) @ y.reshape(r, m, c * c * 2)
+    return z.reshape(r, 2, c, c, 2).swapaxes(3, 4)
 
 
-def _alternate(sigma: np.ndarray, m: int, n: int, rng: np.random.Generator,
-               iters: int) -> tuple[float, np.ndarray]:
-    """One restart: alternating support refinement from a random subspace pair."""
-    a = np.eye(m, dtype=np.complex128) if m == 2 else _random_isometry(rng, m, 2)
-    b = np.eye(n, dtype=np.complex128) if n == 2 else _random_isometry(rng, n, 2)
-    eye_m = np.eye(m, dtype=np.complex128)
-    eye_n = np.eye(n, dtype=np.complex128)
-    prev = np.inf
+def _alternating_search(sigma: np.ndarray, m: int, n: int, a: np.ndarray,
+                        iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """All restarts of the alternating minimization, stacked.
+
+    `a` holds each restart's starting m x 2 subspace A.  Each step refits B
+    to the conjugated right singular vectors of the ground vector of
+    (A (x) I)† sigma (A (x) I), refits A to the left support of that of
+    (I (x) B)† sigma (I (x) B), and takes the ground pair of the 4 x 4
+    compression (A (x) B)† sigma (A (x) B).  B needs no start, since every
+    step refits it from A first.  A restart leaves the stack once its value
+    moves by less than 1e-14, or after `iters` steps.  Returns each
+    restart's final value and ground vector.
+
+    The conjugation in the B refit is kept from the one-restart-at-a-time
+    search this replaced.  For a complex ground vector it is not the
+    support, so the value need not fall monotonically and can oscillate up
+    to the `iters` cap.
+    """
+    restarts = a.shape[0]
+    s4 = sigma.reshape(m, n, m, n)
+    s4_b = s4.transpose(1, 0, 3, 2)  # B's factor first
+    values, prev = np.empty(restarts), np.full(restarts, np.inf)
+    final_a = np.empty((restarts, m, 2), np.complex128)
+    final_b = np.empty((restarts, n, 2), np.complex128)
+    final_v = np.empty((restarts, 2, 2), np.complex128)
+    active = np.arange(restarts)
     for _ in range(iters):
-        if n > 2:
-            # Best B for the current A: ground vector of the (2 x n)-block,
-            # then its right support.
-            ka = np.kron(a, eye_n)
-            _, va = np.linalg.eigh(ka.conj().T @ sigma @ ka)
-            phi = va[:, 0].reshape(a.shape[1], n)
-            _, _, vh = np.linalg.svd(phi, full_matrices=False)
-            b = vh.conj().T[:, :2]
-        if m > 2:
-            kb = np.kron(eye_m, b)
-            _, vb = np.linalg.eigh(kb.conj().T @ sigma @ kb)
-            phi = vb[:, 0].reshape(m, b.shape[1])
-            u, _, _ = np.linalg.svd(phi, full_matrices=False)
-            a = u[:, :2]
-        value, vec = _compressed_minimum(sigma, a, b)
-        if abs(value - prev) < 1e-14:
-            return value, vec
-        prev = value
-    return value, vec
+        r = active.size
+        _, va = np.linalg.eigh(_compress(s4, a).reshape(r, 2 * n, 2 * n))
+        _, _, vh = np.linalg.svd(va[:, :, 0].reshape(r, 2, n), full_matrices=False)
+        b = vh.conj().swapaxes(1, 2)
+        mb = _compress(s4_b, b).transpose(0, 2, 1, 4, 3)  # (r, i, p, j, q)
+        _, vb = np.linalg.eigh(mb.reshape(r, 2 * m, 2 * m))
+        a, _, _ = np.linalg.svd(vb[:, :, 0].reshape(r, m, 2), full_matrices=False)
+        w, v = np.linalg.eigh(_compress(mb, a).reshape(r, 4, 4))
+        value = w[:, 0]
+        values[active], final_a[active], final_b[active] = value, a, b
+        final_v[active] = v[:, :, 0].reshape(r, 2, 2)
+        done = np.abs(value - prev[active]) < 1e-14
+        prev[active] = value
+        active, a = active[~done], a[~done]
+        if active.size == 0:
+            break
+    vecs = np.einsum("rip,rjq,rpq->rij", final_a, final_b, final_v)
+    return values, vecs.reshape(restarts, m * n)
 
 
 def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
@@ -95,8 +124,10 @@ def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
     When either factor is 2-dimensional every vector has Schmidt rank <= 2,
     so the global PT ground state is itself a valid candidate and the search
     is exact with no random restarts.  Otherwise `restarts` independent
-    alternating minimizations run on derived seeds (seed + restart index)
-    and the best value wins, ties to the lowest restart index.
+    alternating minimizations, started from derived seeds (seed + restart
+    index), run together as one stacked batch; each restart stops on its own
+    after `iters` steps or once its value moves by less than 1e-14.  The
+    best computed value wins, ties to the lowest restart index.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
@@ -110,12 +141,10 @@ def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
         best_value, best_vec = float(w[0]), v[:, 0]
         used = 0
     else:
-        best_value, best_vec = np.inf, None
-        for k in range(restarts):
-            rng = np.random.default_rng(seed + k)
-            value, vec = _alternate(sigma, m, n, rng, iters)
-            if value < best_value:
-                best_value, best_vec = value, vec
+        values, vecs = _alternating_search(sigma, m, n,
+                                           _start_subspaces(seed, restarts, m), iters)
+        best = int(np.argmin(values))
+        best_value, best_vec = float(values[best]), vecs[best]
         used = restarts
 
     found = best_value < -witness_tol

@@ -105,6 +105,51 @@ def test_distill_witness_command(tmp_path, capsys):
     assert abs(obj["recomputed_value"] - obj["value"]) <= 1e-10
 
 
+def _werner_file(tmp_path, d, p, factors=True):
+    path = tmp_path / f"werner-{d}-{p}.json"
+    state = werner(WernerParams(d, p))
+    serialize.save_json(serialize.matrix_to_json(state.matrix,
+                                                 factors=(d, d) if factors else None), path)
+    return str(path)
+
+
+def test_distill_witness_command_restart_path(tmp_path, capsys):
+    # 3x3 takes the restarted alternating search, not the exact 2xN path.
+    code, out = run(["distill-witness", "--input", _werner_file(tmp_path, 3, 0.5)], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["found"] is True
+    assert abs(obj["value"] - ((1 - 0.5) / 9 - 0.5 / 3)) <= 1e-8
+    assert abs(obj["recomputed_value"] - obj["value"]) <= 1e-10
+    assert obj["witness_schmidt_rank"] <= 2
+    assert obj["restarts_used"] == 64
+
+    code, out = run(["distill-witness", "--input", _werner_file(tmp_path, 3, 0.2)], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["found"] is False
+    assert obj["witness"] is None
+
+
+def test_distill_witness_zero_restarts_exits_2(tmp_path, capsys):
+    code = main(["distill-witness", "--input", _werner_file(tmp_path, 3, 0.5),
+                 "--restarts", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: restarts and iters must be >= 1\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "pt-spectrum", "distill-witness"])
+def test_missing_split_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "nofactors.json"
+    if command == "pt-spectrum":
+        serialize.save_json(serialize.vector_to_json(max_entangled(2).amplitudes), path)
+    else:
+        path = _werner_file(tmp_path, 3, 0.5, factors=False)
+    code = main([command, "--input", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: no split given and none recorded in the input file\n"
+
+
 def test_claim_check_command(tmp_path, capsys):
     out_path = tmp_path / "claim.json"
     code, _ = run(["claim-check", "--d", "2", "--samples", "100", "--seed", "3",
