@@ -72,18 +72,14 @@ def _alternating_search(sigma: np.ndarray, m: int, n: int, a: np.ndarray,
     """All restarts of the alternating minimization, stacked.
 
     `a` holds each restart's starting m x 2 subspace A.  Each step refits B
-    to the conjugated right singular vectors of the ground vector of
-    (A (x) I)† sigma (A (x) I), refits A to the left support of that of
-    (I (x) B)† sigma (I (x) B), and takes the ground pair of the 4 x 4
-    compression (A (x) B)† sigma (A (x) B).  B needs no start, since every
-    step refits it from A first.  A restart leaves the stack once its value
+    to the right support of the ground vector of (A (x) I)† sigma (A (x) I),
+    refits A to the left support of that of (I (x) B)† sigma (I (x) B), and
+    takes the ground pair of the 4 x 4 compression (A (x) B)† sigma (A (x) B).
+    Each refit keeps the previous ground vector inside the new compression,
+    so a restart's value never rises.  B needs no start, since every step
+    refits it from A first.  A restart leaves the stack once its value
     moves by less than 1e-14, or after `iters` steps.  Returns each
     restart's final value and ground vector.
-
-    The conjugation in the B refit is kept from the one-restart-at-a-time
-    search this replaced.  For a complex ground vector it is not the
-    support, so the value need not fall monotonically and can oscillate up
-    to the `iters` cap.
     """
     restarts = a.shape[0]
     s4 = sigma.reshape(m, n, m, n)
@@ -97,7 +93,7 @@ def _alternating_search(sigma: np.ndarray, m: int, n: int, a: np.ndarray,
         r = active.size
         _, va = np.linalg.eigh(_compress(s4, a).reshape(r, 2 * n, 2 * n))
         _, _, vh = np.linalg.svd(va[:, :, 0].reshape(r, 2, n), full_matrices=False)
-        b = vh.conj().swapaxes(1, 2)
+        b = vh.swapaxes(1, 2)
         mb = _compress(s4_b, b).transpose(0, 2, 1, 4, 3)  # (r, i, p, j, q)
         _, vb = np.linalg.eigh(mb.reshape(r, 2 * m, 2 * m))
         a, _, _ = np.linalg.svd(vb[:, :, 0].reshape(r, m, 2), full_matrices=False)

@@ -5,7 +5,10 @@ with G a square matrix of independent standard complex Gaussians.  Streams are
 reproducible: PCG64 supplies uniforms and Gaussians come from a vectorized
 Box-Muller transform, so a seed pins the output bit-for-bit.  Shell samples
 are drawn in stacks whose output and stream match drawing them one at a
-time.  The generator identity string is recorded in every report header.
+time: stacked traces and norms reduce each sample in numpy's per-matrix
+order, and the PSD test runs an eigen-solve only on rows that closed-form
+bounds (see `shell_batch`) leave undecided.  The generator identity string
+is recorded in every report header.
 """
 
 from __future__ import annotations
@@ -26,6 +29,12 @@ PURE_NORM_TOL = 1e-12
 # acceptance eigen-solve already proves every accepted sample PSD and no
 # second solve is needed before it leaves the sampler.
 SHELL_PSD_TOL = 1e-12
+# A closed-form bound settles a shell PSD decision only when it clears the
+# eigen-solve threshold by this margin.  The eigensolver's backward error is
+# of order N * eps * ||candidate|| (below 1e-14 for these unit-trace
+# matrices), far under the margin, so each bound-settled decision is the
+# one the eigen-solve test would make.
+SHELL_BOUND_MARGIN = 1e-13
 # Shell samples are stacked so that one N x N complex stack takes about this
 # many bytes: 256 samples at N = 4, 16 at N = 16.  It bounds peak memory.
 SHELL_CHUNK_BYTES = 64 * 1024
@@ -190,38 +199,94 @@ def shell_chunk(dim: int) -> int:
     return max(1, SHELL_CHUNK_BYTES // (16 * dim * dim))
 
 
+def _stacked_traces(w: np.ndarray) -> np.ndarray:
+    """Real parts of the traces of a (k, N, N) stack, each bit-identical to
+    `np.trace(w[i]).real`."""
+    return np.trace(w, axis1=1, axis2=2).real
+
+
+def _stacked_norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (k, N, N) complex stack, each bit-identical to
+    `np.linalg.norm(x[i])`.
+
+    That norm is the square root of a dot product of the real parts plus
+    one of the imaginary parts; here each is a stacked vector-vector matmul,
+    which reduces in the same order.  (`np.linalg.norm(x, axis=(1, 2))`
+    does not.)
+    """
+    flat = x.reshape(len(x), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(1, 2))[:, 0, 0] + (im @ im.swapaxes(1, 2))[:, 0, 0])
+
+
+def _psd_bounds(candidates: np.ndarray, scale: np.ndarray,
+                radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a shell-candidate stack that closed-form bounds certify as
+    accepted, and rows they certify as rejected (see shell_batch)."""
+    count, dim = candidates.shape[:2]
+    if radius <= 1.0 / np.sqrt(dim * (dim - 1)):
+        return np.ones(count, dtype=bool), np.zeros(count, dtype=bool)
+    accept = scale <= 1.0
+    lowest_diagonal = np.diagonal(candidates, axis1=1, axis2=2).real.min(axis=1)
+    reject = ~accept & (lowest_diagonal < -SHELL_PSD_TOL - SHELL_BOUND_MARGIN)
+    return accept, reject
+
+
 def shell_batch(rng: np.random.Generator, dim: int, radius: float, count: int) -> np.ndarray:
     """`count` attempts at states on the shell of HS radius `radius` around I/N.
 
-    Each attempt draws an HS-random state, rescales its traceless part to
-    the target norm, and is rejected when the result leaves the PSD cone
-    (smallest eigenvalue below -SHELL_PSD_TOL).  Returns the accepted states
-    as a (k, N, N) stack, each Hermitian to the bit and of unit trace.
+    Each attempt draws an HS-random state rho0, rescales its traceless part
+    Delta = rho0 - I/N to the target norm, and is rejected when the result
+    leaves the PSD cone (smallest eigenvalue below -SHELL_PSD_TOL).  Returns
+    the accepted states as a (k, N, N) stack, each Hermitian to the bit and
+    of unit trace.
 
-    The attempts are stacked, but every stacked operation is elementwise or
-    per matrix, and the trace and norm are reduced one sample at a time, so
-    the result and the generator stream are bit-identical to `count`
-    single attempts.
+    The attempts are stacked.  Every stacked operation is elementwise or
+    per matrix, and the trace and norm reductions (`_stacked_traces`,
+    `_stacked_norms`) sum each sample in the order `np.trace` and
+    `np.linalg.norm` do, so the result and the generator stream are
+    bit-identical to `count` single attempts.
+
+    Closed-form bounds settle most PSD decisions without an eigen-solve.
+    With s = radius / ||Delta||, a candidate is
+    I/N + s Delta = (1 - s) I/N + s rho0, so:
+
+    - s <= 1 makes it a convex mix of PSD matrices: certified accept.
+    - radius <= 1/sqrt(N(N-1)), the spectral floor, is a certified accept
+      for every row: a traceless Hermitian matrix of HS norm r has no
+      eigenvalue below -r sqrt((N-1)/N), which is -1/N there.
+    - The smallest eigenvalue is at most the smallest diagonal entry, so a
+      diagonal entry below -SHELL_PSD_TOL - SHELL_BOUND_MARGIN is a
+      certified reject.
+
+    Rounding moves the accepts' bound by order N * eps, and the reject
+    clears the threshold by SHELL_BOUND_MARGIN, both far inside the
+    eigen-solve's own tolerance, so each settled row gets the verdict the
+    eigen-solve would give.  Only the remaining rows go through one stacked
+    `eigvalsh`.
     """
     re, im = _box_muller(rng.random((count, 2, dim * dim)))
     g = (re + 1j * im).reshape(count, dim, dim)
     w = g @ g.conj().transpose(0, 2, 1)
-    traces = np.array([np.trace(x).real for x in w])
-    rho0 = w / traces[:, None, None]
+    rho0 = w / _stacked_traces(w)[:, None, None]
     # Symmetrized as DensityMatrix stores an HS state.
     rho0 = (rho0 + rho0.conj().transpose(0, 2, 1)) / 2
 
     eye = np.eye(dim, dtype=np.complex128) / dim
     delta = rho0 - eye
-    norms = np.array([np.linalg.norm(x) for x in delta])
-    candidates = eye + (radius / norms)[:, None, None] * delta
-    accepted = candidates[np.linalg.eigvalsh(candidates)[:, 0] >= -SHELL_PSD_TOL]
+    scale = radius / _stacked_norms(delta)
+    candidates = eye + scale[:, None, None] * delta
+    keep, reject = _psd_bounds(candidates, scale, radius)
+    undecided = ~(keep | reject)
+    if undecided.any():
+        keep[undecided] = np.linalg.eigvalsh(candidates[undecided])[:, 0] >= -SHELL_PSD_TOL
+    accepted = candidates[keep]
 
     adjoint = accepted.conj().transpose(0, 2, 1)
     dev = float(np.max(np.abs(accepted - adjoint), initial=0.0))
     if dev > DENSITY_HERM_TOL:
         raise NotHermitian(f"shell sample deviates from Hermitian by {dev:.3e}")
-    trace_dev = float(np.max(np.abs(np.trace(accepted, axis1=1, axis2=2).real - 1.0), initial=0.0))
+    trace_dev = float(np.max(np.abs(_stacked_traces(accepted) - 1.0), initial=0.0))
     if trace_dev > DENSITY_TRACE_TOL:
         raise ValueError(f"shell sample trace deviates from 1 by {trace_dev:.3e}")
     return (accepted + adjoint) / 2

@@ -56,14 +56,16 @@ def reference_min_pt_eigenvalue(mat, m, n):
 def reference_alternate(sigma, m, n, rng, iters):
     """One witness-search restart, computed alone with numpy only.
 
-    The single-restart alternating minimization the batched search replaced:
-    random m x 2 and n x 2 isometries (QR of Box-Muller complex Gaussians,
-    A drawn before B), then up to `iters` steps that refit B from the ground
-    vector of (A (x) I)† sigma (A (x) I), refit A from that of
-    (I (x) B)† sigma (I (x) B), and take the ground pair of the 4 x 4
-    compression (A (x) B)† sigma (A (x) B).  Stops early once the value moves
-    by less than 1e-14.  Returns (value, vector, converged), where converged
-    says whether that test fired before the `iters` cap.
+    The single-restart alternating minimization the batched search replaced,
+    with B refit to the ground vector's support (the rows of its right
+    singular vectors, unconjugated): random m x 2 and n x 2 isometries (QR
+    of Box-Muller complex Gaussians, A drawn before B), then up to `iters`
+    steps that refit B from the ground vector of (A (x) I)† sigma (A (x) I),
+    refit A from that of (I (x) B)† sigma (I (x) B), and take the ground
+    pair of the 4 x 4 compression (A (x) B)† sigma (A (x) B).  Stops early
+    once the value moves by less than 1e-14.  Returns (value, vector,
+    converged), where converged says whether that test fired before the
+    `iters` cap.
     """
     def isometry(dim):
         u = rng.random((2, 2 * dim))
@@ -83,7 +85,7 @@ def reference_alternate(sigma, m, n, rng, iters):
             _, va = np.linalg.eigh(ka.conj().T @ sigma @ ka)
             phi = va[:, 0].reshape(a.shape[1], n)
             _, _, vh = np.linalg.svd(phi, full_matrices=False)
-            b = vh.conj().T[:, :2]
+            b = vh.T[:, :2]
         if m > 2:
             kb = np.kron(eye_m, b)
             _, vb = np.linalg.eigh(kb.conj().T @ sigma @ kb)

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pptgeo import states
 from pptgeo.bipartite import BipartiteSplit, is_ppt, min_pt_eigenvalues
 from pptgeo.linalg import DimensionMismatch, hs_distance
 from pptgeo.states import (
+    SHELL_BOUND_MARGIN,
+    SHELL_PSD_TOL,
     DensityMatrix,
     NotNormalized,
     PureState,
@@ -219,10 +222,14 @@ def test_shell_acceptance_nonincreasing_report():
 
 # --- batched shell kernel vs the per-sample reference ---------------------
 
-# Radii in units of the spectral floor 1/sqrt(N(N-1)): the first mixes PPT
-# and NPT samples, the second also rejects some attempts.
-SHELL_CASES = {4: ((2, 2), (1.5, 2.0)), 6: ((2, 3), (1.7, 2.2)),
-               9: ((3, 3), (2.2, 2.8)), 16: ((4, 4), (2.2, 3.8))}
+# Radii in units of the spectral floor 1/sqrt(N(N-1)).  The first lies
+# inside the floor, where every row is a certified accept; the middle two mix
+# PPT and NPT samples and also reject some attempts; the last sits at 0.95 of
+# the outer radius sqrt((N-1)/N) = (N-1) floors, where most rows are
+# certified diagonal rejects.
+SHELL_CASES = {4: ((2, 2), (0.9, 1.5, 2.0, 2.85)), 6: ((2, 3), (0.9, 1.7, 2.2, 4.75)),
+               8: ((2, 4), (0.9, 2.0, 2.6, 6.65)), 9: ((3, 3), (0.9, 2.2, 2.8, 7.6)),
+               16: ((4, 4), (0.9, 2.2, 3.8, 14.25)), 25: ((5, 5), (0.9, 3.0, 5.0, 22.8))}
 
 
 def test_shell_chunk_budget():
@@ -232,7 +239,19 @@ def test_shell_chunk_budget():
 
 
 @pytest.mark.parametrize("dim", sorted(SHELL_CASES))
-def test_shell_batch_bit_identical_to_per_sample_reference(dim):
+def test_shell_batch_bit_identical_to_per_sample_reference(dim, monkeypatch):
+    # Rows settled by each branch of the PSD decision: certified accept,
+    # certified reject, eigen-solve.
+    branches = np.zeros(3, dtype=int)
+    bounds = states._psd_bounds
+
+    def counted_bounds(candidates, scale, radius):
+        accept, reject = bounds(candidates, scale, radius)
+        branches[:] += [accept.sum(), reject.sum(), (~(accept | reject)).sum()]
+        return accept, reject
+
+    monkeypatch.setattr(states, "_psd_bounds", counted_bounds)
+
     (m, n), factors = SHELL_CASES[dim]
     chunk = shell_chunk(dim)
     split = BipartiteSplit(m, n)
@@ -259,6 +278,50 @@ def test_shell_batch_bit_identical_to_per_sample_reference(dim):
             npt += int(np.sum(floors < -1e-9))
             ppt += int(np.sum(floors >= -1e-9))
     assert rejected > 0 and npt > 0 and ppt > 0
+    assert np.all(branches > 0), f"branch rows (accept, reject, eigen-solve): {branches}"
+
+
+def test_shell_batch_inside_floor_runs_no_eigensolve(monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigen-solve inside the spectral floor")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    for dim in (4, 9, 16):
+        radius = 0.999 / np.sqrt(dim * (dim - 1))
+        batch = shell_batch(np.random.default_rng(dim), dim, radius, shell_chunk(dim))
+        assert len(batch) == shell_chunk(dim)
+
+
+def test_psd_bounds_leave_near_threshold_rows_to_the_eigensolve():
+    # A bound settles a row only when it clears -SHELL_PSD_TOL by the
+    # margin; a PSD row with a zero diagonal entry is never rejected.
+    radius = 0.5  # beyond the N = 4 floor 1/sqrt(12)
+
+    def bounds(lowest, scale):
+        candidate = np.diag([lowest, 1 / 3, 1 / 3, 1 / 3 - lowest]).astype(np.complex128)
+        accept, reject = states._psd_bounds(candidate[None], np.array([scale]), radius)
+        return bool(accept[0]), bool(reject[0])
+
+    assert bounds(0.0, 1.0) == (True, False)
+    for lowest in (0.0, -SHELL_PSD_TOL, -SHELL_PSD_TOL - 0.5 * SHELL_BOUND_MARGIN):
+        assert bounds(lowest, 1.5) == (False, False)
+    assert bounds(-SHELL_PSD_TOL - 2 * SHELL_BOUND_MARGIN, 1.5) == (False, True)
+    assert SHELL_BOUND_MARGIN >= 1e-13
+
+
+@pytest.mark.parametrize("count", [1, 7, 50, 256])
+def test_stacked_trace_and_norm_match_per_sample(count):
+    # The shell sampler's byte identity rests on these stacked reductions
+    # summing in the per-sample order; a numpy or BLAS build that changes
+    # that order fails here by name.
+    rng = np.random.default_rng(count)
+    for dim in range(2, 26):
+        x = (rng.standard_normal((count, dim, dim))
+             + 1j * rng.standard_normal((count, dim, dim)))
+        want_traces = np.array([np.trace(a).real for a in x])
+        want_norms = np.array([np.linalg.norm(a) for a in x])
+        assert states._stacked_traces(x).tobytes() == want_traces.tobytes(), dim
+        assert states._stacked_norms(x).tobytes() == want_norms.tobytes(), dim
 
 
 # --- distance identity (Werner family) ---------------------------------------
