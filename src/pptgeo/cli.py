@@ -152,6 +152,7 @@ def _cmd_distill_witness(args) -> str:
         "header": serialize.report_header(seed=args.seed),
         "split": f"{split.m}x{split.n}",
         "found": result.found,
+        "certified": result.certified,
         "value": result.value,
         "restarts_used": result.restarts_used,
         "witness": None,

@@ -11,9 +11,13 @@ stage over the restarts still running, and the compressions contract the
 reshaped partial transpose with the subspaces directly.  Each restart keeps
 its own seeded start and its own stopping rule.
 
-The result is one-sided: `found` certifies a witness (re-checkable from the
-returned vector), while a non-found outcome is inconclusive, never a proof
-of non-distillability.
+The result is two-sided.  `found` certifies a witness (re-checkable from
+the returned vector).  A miss is certified as well when the partial
+transpose has no eigenvalue below -witness_tol: every Rayleigh quotient of
+rho^PT is at least its smallest eigenvalue, so no vector of any Schmidt
+rank is a witness, and such inputs skip the search.  Only a miss of the
+search on an NPT input is inconclusive, never a proof of
+non-distillability.
 """
 
 from __future__ import annotations
@@ -32,17 +36,26 @@ DEFAULT_ITERS = 50
 
 @dataclass(frozen=True, eq=False)
 class WitnessResult:
-    """Outcome of a witness search.
+    """Outcome of a witness search: found, certified absent, or inconclusive.
 
-    value is the best <psi| rho^PT |psi> seen over all restarts (a Rayleigh
-    quotient, so never below the global minimum PT eigenvalue); witness is
-    present iff found.
+    found: a witness was found; it is present in `witness` and re-checkable.
+    certified: the verdict is proved.  True whenever found; on a miss, True
+    means no Schmidt-rank-2 witness exists and False that the search was
+    inconclusive.
+
+    value: when no search ran (restarts_used == 0) it is the smallest
+    eigenvalue of rho^PT, a lower bound on every Schmidt-rank-2 quotient.
+    On a certified miss it is >= -witness_tol; on a 2xN split, where every
+    vector has Schmidt rank <= 2, it is the exact minimum.  After a search
+    it is the best <psi| rho^PT |psi> seen over all restarts (a Rayleigh
+    quotient, so never below that eigenvalue).
     """
 
     found: bool
     value: float
     witness: PureState | None
     restarts_used: int
+    certified: bool
 
 
 def _start_subspaces(seed: int, restarts: int, m: int) -> np.ndarray:
@@ -117,13 +130,16 @@ def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
                           witness_tol: float = WITNESS_TOL) -> WitnessResult:
     """Search for a Schmidt-rank-<=2 vector with <psi| rho^PT |psi> < -witness_tol.
 
-    When either factor is 2-dimensional every vector has Schmidt rank <= 2,
-    so the global PT ground state is itself a valid candidate and the search
-    is exact with no random restarts.  Otherwise `restarts` independent
-    alternating minimizations, started from derived seeds (seed + restart
-    index), run together as one stacked batch; each restart stops on its own
-    after `iters` steps or once its value moves by less than 1e-14.  The
-    best computed value wins, ties to the lowest restart index.
+    The symmetrized partial transpose is eigen-solved once first.  When its
+    smallest eigenvalue is at least -witness_tol no witness exists, and the
+    result is a certified miss with no restarts run.  When either factor is
+    2-dimensional every vector has Schmidt rank <= 2, so the PT ground state
+    from that same solve is the witness and the search is exact.  Otherwise
+    `restarts` independent alternating minimizations, started from derived
+    seeds (seed + restart index), run together as one stacked batch; each
+    restart stops on its own after `iters` steps or once its value moves by
+    less than 1e-14.  The best computed value wins, ties to the lowest
+    restart index; a miss there is inconclusive.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
@@ -132,9 +148,18 @@ def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
     sigma = partial_transpose(rho, split)
     sigma = (sigma + sigma.conj().T) / 2
 
-    if min(m, n) == 2:
+    exact = min(m, n) == 2
+    if exact:
         w, v = np.linalg.eigh(sigma)
-        best_value, best_vec = float(w[0]), v[:, 0]
+    else:
+        w = np.linalg.eigvalsh(sigma)
+    lowest = float(w[0])
+    if lowest >= -witness_tol:
+        return WitnessResult(found=False, value=lowest, witness=None, restarts_used=0,
+                             certified=True)
+
+    if exact:
+        best_value, best_vec = lowest, v[:, 0]
         used = 0
     else:
         values, vecs = _alternating_search(sigma, m, n,
@@ -148,7 +173,8 @@ def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
     if found:
         amp = best_vec / np.linalg.norm(best_vec)
         witness = PureState(dim=rho.dim, amplitudes=amp)
-    return WitnessResult(found=found, value=best_value, witness=witness, restarts_used=used)
+    return WitnessResult(found=found, value=best_value, witness=witness, restarts_used=used,
+                         certified=found)
 
 
 def witness_expectation(rho: DensityMatrix, split: BipartiteSplit, psi: PureState) -> float:

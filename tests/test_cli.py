@@ -123,11 +123,16 @@ def test_distill_witness_command_restart_path(tmp_path, capsys):
     assert abs(obj["recomputed_value"] - obj["value"]) <= 1e-10
     assert obj["witness_schmidt_rank"] <= 2
     assert obj["restarts_used"] == 64
+    assert obj["certified"] is True
 
+    # p = 0.2 < 1/4 is PPT: absence is certified by the PT spectrum, no restarts run.
     code, out = run(["distill-witness", "--input", _werner_file(tmp_path, 3, 0.2)], capsys)
     assert code == 0
     obj = json.loads(out)
     assert obj["found"] is False
+    assert obj["certified"] is True
+    assert obj["restarts_used"] == 0
+    assert abs(obj["value"] - ((1 - 0.2) / 9 - 0.2 / 3)) <= 1e-12
     assert obj["witness"] is None
 
 

@@ -4,6 +4,7 @@ import pytest
 from pptgeo.bipartite import BipartiteSplit, is_ppt, partial_transpose, schmidt
 from pptgeo.distill import (
     DEFAULT_ITERS,
+    DEFAULT_RESTARTS,
     WITNESS_TOL,
     _alternating_search,
     _start_subspaces,
@@ -11,7 +12,9 @@ from pptgeo.distill import (
     witness_expectation,
 )
 from pptgeo.states import (
+    PureState,
     WernerParams,
+    convex_mix,
     max_entangled,
     maximally_mixed,
     pure_density,
@@ -150,8 +153,89 @@ def test_batched_search_matches_per_restart_reference(label, m, n, state, iters)
 
     result = find_schmidt2_witness(state, split, restarts=restarts, iters=iters, seed=seed)
     assert result.found == (ref_values.min() < -WITNESS_TOL)
-    assert result.restarts_used == restarts
-    assert result.value == values.min()
+    if label in ("floor", "werner_ppt"):
+        # PPT inputs are certified from the PT spectrum without a search.
+        assert result.certified and result.witness is None
+        assert result.restarts_used == 0
+        assert result.value == np.linalg.eigvalsh(sigma)[0]
+    else:
+        assert result.certified == result.found
+        assert result.restarts_used == restarts
+        assert result.value == values.min()
+
+
+def _werner_like(m, n, p):
+    """p |Phi_k><Phi_k| + (1-p) I/N with Phi_k maximally entangled on
+    k = min(m, n) levels; `werner` at m = n.  Its PT minimum is
+    (1-p)/N - p/k, so it is PPT for p <= k/(N+k)."""
+    k, dim = min(m, n), m * n
+    amp = np.zeros(dim, dtype=np.complex128)
+    amp[[i * n + i for i in range(k)]] = 1 / np.sqrt(k)
+    return convex_mix(p, pure_density(PureState(dim=dim, amplitudes=amp)), maximally_mixed(dim))
+
+
+def _ppt_states():
+    cases = []
+    for m, n in [(3, 3), (3, 4), (4, 4), (3, 5)]:
+        dim, k = m * n, min(m, n)
+        floor = 1 / np.sqrt(dim * (dim - 1))
+        cases.append(("floor", m, n, sample_on_shell(dim, radius=0.999 * floor, seed=m * n)))
+        cases.append(("werner_ppt", m, n, _werner_like(m, n, 0.5 * k / (dim + k))))
+    return cases
+
+
+@pytest.mark.parametrize("label, m, n, state", _ppt_states(),
+                         ids=lambda v: v if isinstance(v, (str, int)) else "state")
+def test_ppt_input_is_certified_without_search(label, m, n, state):
+    split = BipartiteSplit(m, n)
+    sigma = partial_transpose(state, split)
+    sigma = (sigma + sigma.conj().T) / 2
+    result = find_schmidt2_witness(state, split, seed=2)
+    assert not result.found and result.certified
+    assert result.restarts_used == 0
+    assert result.witness is None
+    assert result.value == np.linalg.eigvalsh(sigma)[0]
+    # The search the certificate skips could not have found a witness either.
+    values, _ = _alternating_search(sigma, m, n, _start_subspaces(2, DEFAULT_RESTARTS, m),
+                                    DEFAULT_ITERS)
+    assert values.min() >= -WITNESS_TOL
+
+
+@pytest.mark.parametrize("lowest, searched", [(-2 * WITNESS_TOL, True),
+                                              (-0.5 * WITNESS_TOL, False)])
+def test_certificate_threshold_is_witness_tol(lowest, searched):
+    # 3x3 Werner just above p = 1/4, where the PT minimum 1/9 - 4p/9 sits
+    # just below or just above -WITNESS_TOL.
+    state = werner(WernerParams(3, 0.25 - 9 * lowest / 4))
+    split = BipartiteSplit(3, 3)
+    sigma = partial_transpose(state, split)
+    floor = np.linalg.eigvalsh((sigma + sigma.conj().T) / 2)[0]
+    assert (floor < -WITNESS_TOL) == searched
+    result = find_schmidt2_witness(state, split)
+    assert result.restarts_used == (DEFAULT_RESTARTS if searched else 0)
+    assert result.certified == (result.found or not searched)
+    if searched:
+        assert result.value >= floor - 1e-12
+    else:
+        assert result.value == floor
+
+
+def test_search_miss_on_npt_input_is_inconclusive():
+    # A one-step, one-restart search on an HS-random NPT state stops above
+    # the PT minimum; a tolerance between the two makes the input NPT for
+    # the certificate while the search misses.
+    state = sample_hs_random(9, seed=1)
+    split = BipartiteSplit(3, 3)
+    sigma = partial_transpose(state, split)
+    sigma = (sigma + sigma.conj().T) / 2
+    lowest = np.linalg.eigvalsh(sigma)[0]
+    values, _ = _alternating_search(sigma, 3, 3, _start_subspaces(0, 1, 3), 1)
+    assert values[0] > lowest + 1e-3
+    tol = -(lowest + values[0]) / 2
+    result = find_schmidt2_witness(state, split, restarts=1, iters=1, seed=0, witness_tol=tol)
+    assert not result.found and not result.certified
+    assert result.restarts_used == 1
+    assert result.value == values[0]
 
 
 @pytest.mark.parametrize("label, m, n, state",
