@@ -5,11 +5,13 @@ negative expectation against the partial transpose.  Complete search is
 intractable, so this module runs an alternating subspace minimization: the
 partial transpose is compressed to S (x) T blocks with dim(S) = dim(T) = 2,
 whose ground vectors automatically have Schmidt rank <= 2, and the
-subspaces are re-fit to each candidate's local supports.  All restarts run
-as one stack: each alternating step is one stacked eigen-solve or SVD per
-stage over the restarts still running, and the compressions contract the
-reshaped partial transpose with the subspaces directly.  Each restart keeps
-its own seeded start and its own stopping rule.
+subspaces are re-fit to each candidate's local supports by a QR of the
+reshaped ground vector.  All restarts run as one stack: each alternating
+step is two stacked eigen-solves and two stacked QRs over the restarts
+still running, the second eigen-solve also giving the step's value, and
+the compressions contract the reshaped partial transpose with the
+subspaces directly.  Each restart keeps its own seeded start and stops on
+its own once a step lowers its value by a relative STOP_RTOL or less.
 
 The result is two-sided.  `found` certifies a witness (re-checkable from
 the returned vector).  A miss is certified as well when the partial
@@ -32,6 +34,7 @@ from .states import DensityMatrix, PureState, standard_normals
 WITNESS_TOL = 1e-10
 DEFAULT_RESTARTS = 64
 DEFAULT_ITERS = 50
+STOP_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,15 +87,21 @@ def _alternating_search(sigma: np.ndarray, m: int, n: int, a: np.ndarray,
                         iters: int) -> tuple[np.ndarray, np.ndarray]:
     """All restarts of the alternating minimization, stacked.
 
-    `a` holds each restart's starting m x 2 subspace A.  Each step refits B
-    to the right support of the ground vector of (A (x) I)† sigma (A (x) I),
-    refits A to the left support of that of (I (x) B)† sigma (I (x) B), and
-    takes the ground pair of the 4 x 4 compression (A (x) B)† sigma (A (x) B).
-    Each refit keeps the previous ground vector inside the new compression,
-    so a restart's value never rises.  B needs no start, since every step
-    refits it from A first.  A restart leaves the stack once its value
-    moves by less than 1e-14, or after `iters` steps.  Returns each
-    restart's final value and ground vector.
+    `a` holds each restart's starting m x 2 subspace A.  Each step takes the
+    ground vector of (A (x) I)† sigma (A (x) I) and refits B to its support
+    on the second factor, then takes the ground vector of
+    (I (x) B)† sigma (I (x) B) and refits A to its support on the first.
+    Both refits are a QR of the reshaped ground vector: a compression's
+    ground value and the support of its ground vector do not depend on the
+    basis chosen for a subspace, only on its span.  The second ground vector
+    lies in A (x) B by construction (its coefficients there are the QR's
+    R factor), so its eigenvalue is the restart's value, the ground value of
+    (A (x) B)† sigma (A (x) B), and needs no third eigen-solve.  Each refit
+    keeps the previous ground vector inside the new compression, so a
+    restart's value never rises.  B needs no start, since every step refits
+    it from A first.  A restart leaves the stack once a step lowers its
+    value by at most max(STOP_RTOL |value|, 1e-14), or after `iters` steps.
+    Returns each restart's final value and ground vector.
     """
     restarts = a.shape[0]
     s4 = sigma.reshape(m, n, m, n)
@@ -105,16 +114,13 @@ def _alternating_search(sigma: np.ndarray, m: int, n: int, a: np.ndarray,
     for _ in range(iters):
         r = active.size
         _, va = np.linalg.eigh(_compress(s4, a).reshape(r, 2 * n, 2 * n))
-        _, _, vh = np.linalg.svd(va[:, :, 0].reshape(r, 2, n), full_matrices=False)
-        b = vh.swapaxes(1, 2)
+        b = np.linalg.qr(va[:, :, 0].reshape(r, 2, n).swapaxes(1, 2))[0]
         mb = _compress(s4_b, b).transpose(0, 2, 1, 4, 3)  # (r, i, p, j, q)
-        _, vb = np.linalg.eigh(mb.reshape(r, 2 * m, 2 * m))
-        a, _, _ = np.linalg.svd(vb[:, :, 0].reshape(r, m, 2), full_matrices=False)
-        w, v = np.linalg.eigh(_compress(mb, a).reshape(r, 4, 4))
-        value = w[:, 0]
-        values[active], final_a[active], final_b[active] = value, a, b
-        final_v[active] = v[:, :, 0].reshape(r, 2, 2)
-        done = np.abs(value - prev[active]) < 1e-14
+        wb, vb = np.linalg.eigh(mb.reshape(r, 2 * m, 2 * m))
+        a, coef = np.linalg.qr(vb[:, :, 0].reshape(r, m, 2))
+        value = wb[:, 0]
+        values[active], final_a[active], final_b[active], final_v[active] = value, a, b, coef
+        done = prev[active] - value <= np.maximum(STOP_RTOL * np.abs(value), 1e-14)
         prev[active] = value
         active, a = active[~done], a[~done]
         if active.size == 0:
@@ -137,12 +143,18 @@ def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
     from that same solve is the witness and the search is exact.  Otherwise
     `restarts` independent alternating minimizations, started from derived
     seeds (seed + restart index), run together as one stacked batch; each
-    restart stops on its own after `iters` steps or once its value moves by
-    less than 1e-14.  The best computed value wins, ties to the lowest
-    restart index; a miss there is inconclusive.
+    step refits both subspaces by QR and takes its value from the second of
+    its two eigen-solves.  Each restart stops on its own once a step lowers
+    its value by at most max(STOP_RTOL |value|, 1e-14), or after `iters`
+    steps.  The best computed value wins, ties to the lowest restart index;
+    a miss there is inconclusive.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
+    if not (np.isfinite(witness_tol) and witness_tol >= 0):
+        raise ValueError(f"witness_tol must be finite and >= 0, got {witness_tol!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     split.check_dim(rho.dim)
     m, n = split.m, split.n
     sigma = partial_transpose(rho, split)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pptgeo.bipartite import (
     BipartiteSplit,
@@ -17,11 +19,17 @@ from pptgeo.states import (
     max_entangled,
     maximally_mixed,
     pure_density,
+    sample_hs,
     sample_hs_random,
     werner,
 )
 
-from conftest import reduced_a_eigenvalues, reference_partial_transpose, werner_min_pt_oracle
+from conftest import (
+    random_hermitian,
+    reduced_a_eigenvalues,
+    reference_partial_transpose,
+    werner_min_pt_oracle,
+)
 
 SPLITS = [BipartiteSplit(2, 2), BipartiteSplit(2, 3), BipartiteSplit(3, 3),
           BipartiteSplit(3, 4), BipartiteSplit(4, 4)]
@@ -110,6 +118,43 @@ def test_pt_preserves_distance_to_center(rng):
         d_before = hs_distance(rho.matrix, eye)
         d_after = hs_distance(partial_transpose(rho, split), eye)
         assert abs(d_before - d_after) <= 1e-12
+
+
+def _random_unitary(rng, dim):
+    return np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4), n=st.integers(2, 4))
+@settings(max_examples=40, deadline=None)
+def test_pt_is_an_hs_isometry_fixing_the_center(seed, m, n):
+    rng = np.random.default_rng(seed)
+    split = BipartiteSplit(m, n)
+    x = random_hermitian(rng, split.dim)
+    y = random_hermitian(rng, split.dim)
+    eye = maximally_mixed(split.dim).matrix
+    np.testing.assert_array_equal(partial_transpose(eye, split), eye)
+    before = hs_distance(x, y)
+    after = hs_distance(partial_transpose(x, split), partial_transpose(y, split))
+    assert abs(after - before) <= 1e-12 * before
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4), n=st.integers(2, 4))
+@settings(max_examples=40, deadline=None)
+def test_hs_distance_and_pt_spectrum_invariant_under_local_unitaries(seed, m, n):
+    # (U (x) V) rho (U (x) V)† has partial transpose (U (x) conj V) rho^PT (...)†.
+    rng = np.random.default_rng(seed)
+    split = BipartiteSplit(m, n)
+    rho = sample_hs(rng, split.dim).matrix
+    sigma = sample_hs(rng, split.dim).matrix
+    u = np.kron(_random_unitary(rng, m), _random_unitary(rng, n))
+    rho_u, sigma_u = u @ rho @ u.conj().T, u @ sigma @ u.conj().T
+    assert abs(hs_distance(rho_u, sigma_u) - hs_distance(rho, sigma)) <= 1e-12
+
+    def pt_spectrum(mat):
+        pt = partial_transpose(mat, split)
+        return np.linalg.eigvalsh((pt + pt.conj().T) / 2)
+
+    np.testing.assert_allclose(pt_spectrum(rho_u), pt_spectrum(rho), rtol=0, atol=1e-12)
 
 
 def test_pt_dimension_mismatch():

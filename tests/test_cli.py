@@ -143,6 +143,13 @@ def test_distill_witness_zero_restarts_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: restarts and iters must be >= 1\n"
 
 
+@pytest.mark.parametrize("p", [0.2, 0.5])  # PPT (certified, no search) and NPT (searched)
+def test_distill_witness_negative_seed_exits_2(tmp_path, capsys, p):
+    code = main(["distill-witness", "--input", _werner_file(tmp_path, 3, p), "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("command", ["classify", "pt-spectrum", "distill-witness"])
 def test_missing_split_exits_2(tmp_path, capsys, command):
     path = tmp_path / "nofactors.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pptgeo.bipartite import BipartiteSplit, is_ppt, partial_transpose, schmidt
 from pptgeo.distill import (
@@ -7,6 +9,7 @@ from pptgeo.distill import (
     DEFAULT_RESTARTS,
     WITNESS_TOL,
     _alternating_search,
+    _compress,
     _start_subspaces,
     find_schmidt2_witness,
     witness_expectation,
@@ -23,7 +26,7 @@ from pptgeo.states import (
     werner,
 )
 
-from conftest import reference_alternate, werner_min_pt_oracle
+from conftest import random_hermitian, reference_alternate, werner_min_pt_oracle
 
 
 def test_bell_projector_witness():
@@ -111,6 +114,24 @@ def test_witness_search_rejects_zero_iters():
         find_schmidt2_witness(maximally_mixed(9), BipartiteSplit(3, 3), iters=0)
 
 
+@pytest.mark.parametrize("tol", [-0.5, -1e-12, np.nan, np.inf])
+def test_witness_search_rejects_bad_witness_tol(tol):
+    # With a negative tolerance I/9 (PT minimum +1/9) was reported as a
+    # found, certified witness.
+    with pytest.raises(ValueError, match="witness_tol must be finite and >= 0"):
+        find_schmidt2_witness(maximally_mixed(9), BipartiteSplit(3, 3), witness_tol=tol)
+
+
+@pytest.mark.parametrize("state, split", [
+    (maximally_mixed(9), BipartiteSplit(3, 3)),            # PPT: certified, no search
+    (werner(WernerParams(3, 0.5)), BipartiteSplit(3, 3)),  # NPT: searched
+    (pure_density(max_entangled(2)), BipartiteSplit(2, 2)),  # 2xN: exact path
+])
+def test_witness_search_rejects_negative_seed(state, split):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        find_schmidt2_witness(state, split, seed=-1)
+
+
 def _parity_states():
     """(label, m, n, state): HS-random NPT and floor-shell PPT states at every
     split, plus Werner states on both sides of p = 1/(d+1) at square splits."""
@@ -139,9 +160,11 @@ def test_batched_search_matches_per_restart_reference(label, m, n, state, iters)
     reference = [reference_alternate(sigma, m, n, np.random.default_rng(seed + k), iters)
                  for k in range(restarts)]
     ref_values = np.array([value for value, _, _ in reference])
-    # A restart that stopped on its own test, or after the single step of
-    # iters=1, matches to round-off.  Restarts the 50-step cap cuts while
-    # their value still moves are held to 1e-9.
+    # A restart that stopped by the relative rule, or after the single step
+    # of iters=1, matches to round-off.  The 50-step cap still cuts some
+    # restarts on the HS 3x4 and 4x4 states; they are held to 1e-9, about
+    # one step's move at the stop (STOP_RTOL |value|), in case round-off
+    # shifts where the two runs stop.
     settled = np.array([converged or iters == 1 for _, _, converged in reference])
     np.testing.assert_allclose(values[settled], ref_values[settled], rtol=0, atol=1e-12)
     np.testing.assert_allclose(values, ref_values, rtol=0, atol=1e-9)
@@ -162,6 +185,40 @@ def test_batched_search_matches_per_restart_reference(label, m, n, state, iters)
         assert result.certified == result.found
         assert result.restarts_used == restarts
         assert result.value == values.min()
+
+
+@pytest.mark.parametrize("label, m, n, state",
+                         [c for c in _parity_states() if c[0] == "hs"
+                          and (c[1], c[2]) in ((3, 3), (4, 3), (3, 5))],
+                         ids=lambda v: v if isinstance(v, (str, int)) else "state")
+def test_restarts_stop_by_the_relative_rule(label, m, n, state):
+    # On these states every restart's value settles to STOP_RTOL well
+    # inside the default cap, so a cap eight times larger changes no bit.
+    # Under an absolute 1e-14 stop the 3x5 restarts all ran to the cap.
+    split = BipartiteSplit(m, n)
+    sigma = partial_transpose(state, split)
+    sigma = (sigma + sigma.conj().T) / 2
+    starts = _start_subspaces(5, 8, m)
+    values, vecs = _alternating_search(sigma, m, n, starts, DEFAULT_ITERS)
+    longer, longer_vecs = _alternating_search(sigma, m, n, starts, 8 * DEFAULT_ITERS)
+    np.testing.assert_array_equal(values, longer)
+    np.testing.assert_array_equal(vecs, longer_vecs)
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), n=st.integers(2, 5))
+@settings(max_examples=40, deadline=None)
+def test_compressed_ground_value_depends_only_on_the_span(seed, m, n):
+    # The QR refits return another orthonormal basis AW (W a 2 x 2 unitary)
+    # of the subspace an SVD refit returns.  The compressions by A and by AW
+    # are unitarily equivalent, so the trajectory of values does not depend
+    # on which basis a refit picks.
+    rng = np.random.default_rng(seed)
+    sigma = random_hermitian(rng, m * n)
+    a = np.linalg.qr(rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2)))[0]
+    w = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    blocks = _compress(sigma.reshape(m, n, m, n), np.stack([a, a @ w]))
+    ground = np.linalg.eigvalsh(blocks.reshape(2, 2 * n, 2 * n))[:, 0]
+    assert abs(ground[0] - ground[1]) <= 1e-12
 
 
 def _werner_like(m, n, p):
