@@ -37,19 +37,7 @@ from .harness import (
     spectrum_check,
     werner_sweep,
 )
-from .linalg import (
-    DimensionMismatch,
-    HermitianEigen,
-    NoConvergence,
-    NotHermitian,
-    adjoint,
-    frob_norm,
-    hermitian_eigen,
-    hs_distance,
-    is_psd,
-    matmul,
-    trace,
-)
+from .linalg import DimensionMismatch, NotHermitian, hs_distance
 from .serialize import TOOL_VERSION as __version__
 from .states import (
     DensityMatrix,
@@ -73,8 +61,6 @@ __all__ = [
     "ClaimCheckReport",
     "DensityMatrix",
     "DimensionMismatch",
-    "HermitianEigen",
-    "NoConvergence",
     "NotHermitian",
     "NotNormalized",
     "PureState",
@@ -86,7 +72,6 @@ __all__ = [
     "WitnessResult",
     "Zone",
     "ZoneClassification",
-    "adjoint",
     "ball_radius",
     "bounds_table",
     "claim_check",
@@ -94,12 +79,8 @@ __all__ = [
     "cone_boundary_distance",
     "convex_mix",
     "find_schmidt2_witness",
-    "frob_norm",
-    "hermitian_eigen",
     "hs_distance",
     "is_ppt",
-    "is_psd",
-    "matmul",
     "max_entangled",
     "maximally_mixed",
     "partial_transpose",
@@ -112,7 +93,6 @@ __all__ = [
     "separable_radius",
     "shell_scan",
     "spectrum_check",
-    "trace",
     "werner",
     "werner_distance",
     "werner_pm",

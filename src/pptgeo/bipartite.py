@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DimensionMismatch, as_hermitian, hermitian_eigen
+from .linalg import DimensionMismatch
 from .states import DensityMatrix, PureState
 
 RANK_TOL = 1e-10
@@ -23,10 +23,6 @@ RANK_TOL = 1e-10
 EIG_NOISE_FLOOR = 1e-14
 # A state is PPT when its smallest partial-transpose eigenvalue is >= -PPT_TOL.
 PPT_TOL = 1e-9
-
-
-class MultiplicityNegative(ValueError):
-    """Schmidt rank inconsistent with the split (defensive; unreachable for valid inputs)."""
 
 
 @dataclass(frozen=True)
@@ -103,12 +99,14 @@ def schmidt(psi: PureState, split: BipartiteSplit) -> SchmidtDecomposition:
     k = min(m, n)
     c = psi.amplitudes.reshape(m, n)
 
-    eig = hermitian_eigen(c @ c.conj().T)
-    order = np.argsort(eig.eigenvalues)[::-1][:k]
-    weights = np.clip(eig.eigenvalues[order], 0.0, None)
+    # C C† is not Hermitian to the bit; symmetrizing it pins the eigenvectors.
+    gram = c @ c.conj().T
+    w, v = np.linalg.eigh((gram + gram.conj().T) / 2)
+    order = np.argsort(w)[::-1][:k]
+    weights = np.clip(w[order], 0.0, None)
     weights[weights < EIG_NOISE_FLOOR] = 0.0
     alpha = np.sqrt(weights)
-    left = eig.eigenvectors[:, order]
+    left = v[:, order]
 
     rank = int(np.sum(alpha > RANK_TOL))
     right = np.zeros((n, k), dtype=np.complex128)
@@ -119,8 +117,8 @@ def schmidt(psi: PureState, split: BipartiteSplit) -> SchmidtDecomposition:
         # Deterministic orthonormal completion of the right set: eigenvectors
         # of the projector onto the orthocomplement of span(f_1..f_r).
         proj = np.eye(n, dtype=np.complex128) - right[:, :rank] @ right[:, :rank].conj().T
-        comp_eig = hermitian_eigen(proj)
-        right[:, rank:] = comp_eig.eigenvectors[:, n - (k - rank):]
+        _, comp = np.linalg.eigh((proj + proj.conj().T) / 2)
+        right[:, rank:] = comp[:, n - (k - rank):]
 
     return SchmidtDecomposition(coefficients=alpha, rank=rank, left=left, right=right)
 
@@ -136,10 +134,6 @@ def pt_spectrum_analytic(sd: SchmidtDecomposition, split: BipartiteSplit) -> np.
     m, n = split.m, split.n
     r = sd.rank
     zero_mult = min(m, n) * abs(m - n) + min(m, n) ** 2 - r * r
-    if zero_mult < 0:
-        raise MultiplicityNegative(
-            f"rank {r} exceeds min({m}, {n}); zero multiplicity would be {zero_mult}"
-        )
     alpha = sd.coefficients[:r]
     values = list(alpha**2)
     for i in range(r):
@@ -159,8 +153,7 @@ class PptCheck(NamedTuple):
 
 def is_ppt(rho: DensityMatrix, split: BipartiteSplit, tol: float = PPT_TOL) -> PptCheck:
     """PPT test: positive iff the partial transpose stays in the PSD cone."""
-    sigma = as_hermitian(partial_transpose(rho, split))
-    lo = float(np.linalg.eigvalsh(sigma)[0])
+    lo = float(min_pt_eigenvalues(rho.matrix[None], split)[0])
     return PptCheck(ppt=lo >= -tol, min_pt_eigenvalue=lo)
 
 
@@ -168,6 +161,15 @@ def min_pt_eigenvalues(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:
     """Smallest partial-transpose eigenvalue of each state in a (k, N, N) stack.
 
     One stacked eigen-solve and no re-validation: the stack must hold
-    exactly Hermitian matrices, as `states.shell_batch` returns them.
+    exactly Hermitian matrices, as `DensityMatrix` and `states.shell_batch`
+    store them.  The partial transpose only permutes entries, so it is
+    Hermitian to the bit as well.
     """
     return np.linalg.eigvalsh(partial_transpose(states, split))[:, 0]
+
+
+def pure_pt_spectra(amplitudes: np.ndarray, split: BipartiteSplit) -> np.ndarray:
+    """Ascending partial-transpose spectra of the pure states in a (k, N)
+    amplitude stack, by one stacked eigen-solve of the explicit projectors."""
+    projectors = amplitudes[:, :, None] * amplitudes.conj()[:, None, :]
+    return np.linalg.eigvalsh(partial_transpose(projectors, split))

@@ -15,10 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, serialize
-from .bipartite import BipartiteSplit, partial_transpose, pt_spectrum_analytic, schmidt
+from .bipartite import BipartiteSplit, pt_spectrum_analytic, pure_pt_spectra, schmidt
 from .bounds import bounds_table, classify
 from .distill import DEFAULT_RESTARTS, find_schmidt2_witness, witness_expectation
-from .linalg import NoConvergence
 from .states import DensityMatrix, PureState, ShellUnreachable
 
 
@@ -91,7 +90,8 @@ def _cmd_classify(args) -> str:
     d = split.m
     if split.m != split.n:
         raise ValueError("bounds tables need a symmetric d x d split")
-    result = classify(state, split, bounds_table(d))
+    table = bounds_table(d)
+    result = classify(state, split, table)
     obj = {
         "header": serialize.report_header(generator=None),
         "split": f"{split.m}x{split.n}",
@@ -101,8 +101,8 @@ def _cmd_classify(args) -> str:
         "min_pt_eigenvalue": result.min_pt_eigenvalue,
         "contradiction_flag": result.contradiction_flag,
         "thresholds": {
-            "separable_radius": bounds_table(d).separable_radius,
-            "ppt_radius": bounds_table(d).ppt_radius,
+            "separable_radius": table.separable_radius,
+            "ppt_radius": table.ppt_radius,
         },
     }
     return serialize.dumps(obj)
@@ -113,8 +113,7 @@ def _cmd_pt_spectrum(args) -> str:
     split = _resolve_split(args.split, factors)
     sd = schmidt(psi, split)
     analytic = pt_spectrum_analytic(sd, split)
-    outer = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    numeric = np.sort(np.linalg.eigvalsh(partial_transpose(outer, split)))
+    numeric = pure_pt_spectra(psi.amplitudes[None], split)[0]
     obj = {
         "header": serialize.report_header(generator=None),
         "split": f"{split.m}x{split.n}",
@@ -227,7 +226,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = args.run(args)
-    except (ValueError, OSError, KeyError, NoConvergence, ShellUnreachable) as exc:
+    except (ValueError, OSError, KeyError, ShellUnreachable) as exc:
+        # ValueError also covers numpy's LinAlgError from a failed eigen-solve.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(text, args.out)

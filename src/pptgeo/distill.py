@@ -136,7 +136,7 @@ def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
                           witness_tol: float = WITNESS_TOL) -> WitnessResult:
     """Search for a Schmidt-rank-<=2 vector with <psi| rho^PT |psi> < -witness_tol.
 
-    The symmetrized partial transpose is eigen-solved once first.  When its
+    The partial transpose is eigen-solved once first.  When its
     smallest eigenvalue is at least -witness_tol no witness exists, and the
     result is a certified miss with no restarts run.  When either factor is
     2-dimensional every vector has Schmidt rank <= 2, so the PT ground state
@@ -158,7 +158,6 @@ def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
     split.check_dim(rho.dim)
     m, n = split.m, split.n
     sigma = partial_transpose(rho, split)
-    sigma = (sigma + sigma.conj().T) / 2
 
     exact = min(m, n) == 2
     if exact:

@@ -21,8 +21,8 @@ from .bipartite import (
     BipartiteSplit,
     is_ppt,
     min_pt_eigenvalues,
-    partial_transpose,
     pt_spectrum_analytic,
+    pure_pt_spectra,
     schmidt,
 )
 from .bounds import BoundsTable, ball_radius, bounds_table, werner_pm
@@ -256,9 +256,7 @@ def spectrum_check(splits, trials: int, seed: int,
         rng = np.random.default_rng(seed + index)
         psis = [sample_pure(rng, split.dim) for _ in range(trials)]
         analytic = np.stack([pt_spectrum_analytic(schmidt(psi, split), split) for psi in psis])
-        amps = np.stack([psi.amplitudes for psi in psis])
-        outers = amps[:, :, None] * amps.conj()[:, None, :]
-        numeric = np.sort(np.linalg.eigvalsh(partial_transpose(outers, split)), axis=1)
+        numeric = pure_pt_spectra(np.stack([psi.amplitudes for psi in psis]), split)
         worst = float(np.max(np.abs(analytic - numeric)))
         rows.append(SpectrumRow(
             split=f"{split.m}x{split.n}",

@@ -1,16 +1,14 @@
-"""Dense complex matrix helpers and the Hermitian spectral engine.
+"""Validation of the matrices that enter pptgeo, and the HS distance.
 
-Everything downstream (partial transposes, PPT tests, witness searches)
-runs through this module, so the conventions are fixed here once:
-matrices are square ``complex128`` ndarrays, eigenvalues come back
-ascending, and Hermiticity is enforced to ``HERMITICITY_TOL`` in max-abs
-before any spectral work.
+Matrices are square ``complex128`` ndarrays with finite entries.
+Hermiticity is checked to ``HERMITICITY_TOL`` in max-abs and then made
+exact by symmetrizing, so a validated matrix equals its conjugate
+transpose bit for bit.  States are validated once, where they enter
+(`DensityMatrix`, JSON load); partial transposes of them stay Hermitian to
+the bit, so the modules downstream call numpy's eigen-solvers directly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,10 +23,6 @@ class NotHermitian(ValueError):
     """Matrix fails the Hermitian symmetry tolerance."""
 
 
-class NoConvergence(RuntimeError):
-    """The eigensolver failed to converge."""
-
-
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce to a square complex128 matrix with finite entries."""
     m = np.asarray(a, dtype=np.complex128)
@@ -39,61 +33,17 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T
-
-
-def trace(a) -> complex:
-    return complex(np.trace(as_complex_matrix(a)))
-
-
-def frob_norm(a) -> float:
-    return float(np.linalg.norm(as_complex_matrix(a)))
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def as_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate Hermiticity to `tol` (max-abs) and return the symmetrized matrix.
 
-    Symmetrizing (H + H†)/2 after the check kills the round-off drift that
-    partial transposition of a valid density matrix introduces.
+    Symmetrizing (H + H†)/2 after the check removes the round-off
+    asymmetry of the input, so the result is Hermitian to the bit.
     """
     m = as_complex_matrix(a)
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > tol:
         raise NotHermitian(f"max |H - H†| = {dev:.3e} exceeds tolerance {tol:.1e}")
     return (m + m.conj().T) / 2
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianEigen:
-    """Spectral decomposition H = V diag(w) V† with w ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eigen(h, tol: float = HERMITICITY_TOL) -> HermitianEigen:
-    """Eigendecompose a Hermitian matrix.
-
-    Eigenvalues are returned ascending, eigenvectors as the columns of a
-    unitary matrix.  Raises NotHermitian if the symmetry check fails and
-    NoConvergence if the underlying iteration gives up.
-    """
-    m = as_hermitian(h, tol=tol)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise NoConvergence(str(exc)) from exc
-    return HermitianEigen(eigenvalues=w, eigenvectors=v)
 
 
 def hs_distance(a, b) -> float:
@@ -103,15 +53,3 @@ def hs_distance(a, b) -> float:
     if ah.shape != bh.shape:
         raise DimensionMismatch(f"dimension mismatch: {ah.shape} vs {bh.shape}")
     return float(np.linalg.norm(ah - bh))
-
-
-class PsdCheck(NamedTuple):
-    psd: bool
-    min_eigenvalue: float
-
-
-def is_psd(h, tol: float = 1e-9) -> PsdCheck:
-    """Positive-semidefiniteness test: psd iff the smallest eigenvalue >= -tol."""
-    eig = hermitian_eigen(h)
-    lo = float(eig.eigenvalues[0])
-    return PsdCheck(psd=lo >= -tol, min_eigenvalue=lo)

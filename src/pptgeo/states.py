@@ -80,7 +80,8 @@ class DensityMatrix:
 
     Invariants are checked on construction: Hermitian to 1e-10 max-abs,
     trace 1 to 1e-10, smallest eigenvalue >= -1e-9.  The stored matrix is
-    symmetrized after the Hermiticity check.
+    symmetrized after the Hermiticity check, so it and its partial
+    transposes equal their conjugate transposes bit for bit.
     """
 
     dim: int
@@ -166,7 +167,8 @@ def werner(params: WernerParams) -> DensityMatrix:
     """
     d = params.local_dim
     p = params.mixing
-    proj = pure_density(max_entangled(d)).matrix
+    amp = max_entangled(d).amplitudes
+    proj = np.outer(amp, amp.conj())
     eye = np.eye(d * d, dtype=np.complex128) / (d * d)
     return DensityMatrix(dim=d * d, matrix=p * proj + (1.0 - p) * eye)
 

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from pptgeo.bipartite import (
     BipartiteSplit,
-    MultiplicityNegative,
-    SchmidtDecomposition,
     is_ppt,
     partial_transpose,
     pt_spectrum_analytic,
@@ -14,6 +12,8 @@ from pptgeo.bipartite import (
 )
 from pptgeo.linalg import DimensionMismatch, hs_distance
 from pptgeo.states import (
+    DENSITY_HERM_TOL,
+    DensityMatrix,
     PureState,
     WernerParams,
     max_entangled,
@@ -257,16 +257,6 @@ def test_analytic_spectrum_stays_in_range(rng):
         assert spectrum.max() <= 1.0 + 1e-9
 
 
-def test_analytic_spectrum_rejects_inconsistent_rank():
-    # Defensive path: a rank exceeding min(m, n) cannot arise from schmidt().
-    bogus = SchmidtDecomposition(
-        coefficients=np.array([1.0, 0.0]), rank=3,
-        left=np.eye(2), right=np.eye(2),
-    )
-    with pytest.raises(MultiplicityNegative):
-        pt_spectrum_analytic(bogus, BipartiteSplit(2, 2))
-
-
 # --- is_ppt ------------------------------------------------------------------
 
 def test_is_ppt_maximally_mixed():
@@ -287,3 +277,36 @@ def test_is_ppt_werner_boundary_d3():
     check = is_ppt(werner(WernerParams(3, 0.25)), BipartiteSplit(3, 3))
     assert abs(check.min_pt_eigenvalue) <= 1e-12
     assert check.ppt
+
+
+def _splits_of(dim):
+    return [BipartiteSplit(m, dim // m) for m in range(2, dim // 2 + 1) if dim % m == 0]
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([4, 6, 8, 9, 12]),
+       asymmetry=st.sampled_from([0.0, 1e-16, 1e-13, 0.4 * DENSITY_HERM_TOL]))
+@settings(max_examples=60, deadline=None)
+def test_validated_states_and_their_partial_transposes_are_exactly_hermitian(seed, dim, asymmetry):
+    # is_ppt and find_schmidt2_witness eigen-solve the partial transpose of a
+    # DensityMatrix without re-symmetrizing it; this is the invariant they use.
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(3):
+        noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        noise -= np.diag(noise.diagonal().real)  # keeps the trace
+        raw = sample_hs(rng, dim).matrix + asymmetry * noise / np.abs(noise).max()
+        assert np.abs(raw - raw.conj().T).max() <= DENSITY_HERM_TOL
+        rho = DensityMatrix(dim=dim, matrix=raw)
+        np.testing.assert_array_equal(rho.matrix, rho.matrix.conj().T)
+        states.append(rho)
+    stack = np.stack([rho.matrix for rho in states])
+    for split in _splits_of(dim):
+        stacked = partial_transpose(stack, split)
+        np.testing.assert_array_equal(stacked, stacked.conj().swapaxes(1, 2))
+        for rho, from_stack in zip(states, stacked):
+            sigma = partial_transpose(rho, split)
+            np.testing.assert_array_equal(sigma, sigma.conj().T)
+            np.testing.assert_array_equal(sigma, from_stack)
+            resymmetrized = (sigma + sigma.conj().T) / 2
+            assert resymmetrized.tobytes() == sigma.tobytes()
+            assert is_ppt(rho, split).min_pt_eigenvalue == np.linalg.eigvalsh(resymmetrized)[0]

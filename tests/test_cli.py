@@ -1,13 +1,13 @@
 import hashlib
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pptgeo import cli, serialize
+from pptgeo import cli, distill, serialize
 from pptgeo.cli import main
-from pptgeo.linalg import NoConvergence
 from pptgeo.states import ShellUnreachable, WernerParams, max_entangled, werner
 
 
@@ -271,10 +271,13 @@ def test_shell_unreachable_exits_2(monkeypatch, capsys):
 
 
 def test_eigensolver_no_convergence_exits_2(monkeypatch, capsys, werner26_file):
+    # Only the witness search's own eigen-solves fail, as LAPACK's do: numpy
+    # raises LinAlgError.  Loading and validating the input still succeeds.
     def diverge(*args, **kwargs):
-        raise NoConvergence("Eigenvalues did not converge")
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(cli, "find_schmidt2_witness", diverge)
+    failing_linalg = SimpleNamespace(**{**vars(np.linalg), "eigh": diverge, "eigvalsh": diverge})
+    monkeypatch.setattr(distill, "np", SimpleNamespace(**{**vars(np), "linalg": failing_linalg}))
     code = main(["distill-witness", "--input", werner26_file])
     assert code == 2
     assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
