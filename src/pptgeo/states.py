@@ -7,8 +7,11 @@ Box-Muller transform, so a seed pins the output bit-for-bit.  Shell samples
 are drawn in stacks whose output and stream match drawing them one at a
 time: stacked traces and norms reduce each sample in numpy's per-matrix
 order, and the PSD test runs an eigen-solve only on rows that closed-form
-bounds (see `shell_batch`) leave undecided.  The generator identity string
-is recorded in every report header.
+bounds (see `shell_batch`) leave undecided.  Beyond the typical HS distance
+of a random state, where most attempts are rejects, a single-precision
+screen first drops the attempts it certifies as rejects by SCREEN_MARGIN;
+the rest take the exact float64 path, so the output stays bit-identical.
+The generator identity string is recorded in every report header.
 """
 
 from __future__ import annotations
@@ -35,6 +38,13 @@ SHELL_PSD_TOL = 1e-12
 # matrices), far under the margin, so each bound-settled decision is the
 # one the eigen-solve test would make.
 SHELL_BOUND_MARGIN = 1e-13
+# Beyond the typical HS distance (`_typical_hs_radius`) most shell candidates
+# are rejects, and a screen on single-precision normals drops the rows whose
+# upper bound on the candidate's smallest eigenvalue lies below
+# -SCREEN_MARGIN before the exact path runs.  Rounding the normals to float32
+# moves that bound by order eps32 * s (below 2e-7 for N = 4..64 on 10,500
+# rows), so a screened row is a reject by a wide margin.
+SCREEN_MARGIN = 1e-4
 # Shell samples are stacked so that one N x N complex stack takes about this
 # many bytes: 256 samples at N = 4, 16 at N = 16.  It bounds peak memory.
 SHELL_CHUNK_BYTES = 64 * 1024
@@ -50,16 +60,17 @@ class ShellUnreachable(RuntimeError):
     """Rejection sampling failed to land a PSD matrix on the requested shell."""
 
 
-def _box_muller(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _box_muller(u: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
     """Cosine and sine normals from uniforms of shape (..., 2, pairs).
 
     Row 0 of the pair axis feeds the radius and row 1 the angle, so one
     PCG64 draw of that shape is the stream order of drawing all u1, then all
-    u2, one set of pairs after another.
+    u2, one set of pairs after another.  With dtype float32 the radius is
+    the float64 one rounded, and the angle, cosine and sine are float32.
     """
     # 1 - random() lies in (0, 1], keeping the log finite.
-    radius = np.sqrt(-2.0 * np.log(1.0 - u[..., 0, :]))
-    angle = 2.0 * np.pi * u[..., 1, :]
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[..., 0, :])).astype(dtype, copy=False)
+    angle = u[..., 1, :].astype(dtype, copy=False) * dtype(2.0 * np.pi)
     return radius * np.cos(angle), radius * np.sin(angle)
 
 
@@ -221,6 +232,27 @@ def _stacked_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((re @ re.swapaxes(1, 2))[:, 0, 0] + (im @ im.swapaxes(1, 2))[:, 0, 0])
 
 
+def _scale_rows(x: np.ndarray, factors: np.ndarray) -> None:
+    """Multiply each matrix of a (k, N, N) complex stack by a real factor, in
+    place, through the real view.
+
+    numpy multiplies (and divides) a complex number by f + 0j part by part,
+    so this is `x * factors[:, None, None]` bit for bit; with the reciprocal
+    of f it is `x / f[:, None, None]`, which numpy computes as a multiply
+    by 1/f.  (Only a signed zero entry could differ.)
+    """
+    parts = x.view(np.float64).reshape(len(x), -1)
+    parts *= factors[:, None]
+
+
+def _shift_diagonal(x: np.ndarray, value: float | np.ndarray) -> None:
+    """Add value * I to each matrix of a (k, N, N) complex stack, in place, on
+    the real diagonal only: `x + value * I` adds zero everywhere else.
+    `value` is a scalar or one value per matrix."""
+    diagonal = x.reshape(len(x), -1)[:, :: x.shape[1] + 1].real
+    diagonal += np.reshape(value, (-1, 1))
+
+
 def _psd_bounds(candidates: np.ndarray, scale: np.ndarray,
                 radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Rows of a shell-candidate stack that closed-form bounds certify as
@@ -234,6 +266,47 @@ def _psd_bounds(candidates: np.ndarray, scale: np.ndarray,
     return accept, reject
 
 
+def _typical_hs_radius(dim: int) -> float:
+    """HS distance from I/N of a typical HS-random state, r_hs(N).
+
+    E tr rho0^2 = 2N/(N^2+1) (Zyczkowski & Sommers, J. Phys. A 34, 7111,
+    2001), so ||rho0 - I/N||^2 averages 2N/(N^2+1) - 1/N.
+    """
+    return float(np.sqrt(2.0 * dim / (dim * dim + 1) - 1.0 / dim))
+
+
+def _screen_rejects(u: np.ndarray, dim: int, radius: float) -> np.ndarray:
+    """Rows of shell uniforms (count, 2, N^2) whose candidates a bound from
+    single-precision normals certifies as rejects (see shell_batch)."""
+    count = len(u)
+    re, im = _box_muller(u, np.float32)
+    g = (re + 1j * im).astype(np.complex128).reshape(count, dim, dim)
+    w = g @ g.conj().transpose(0, 2, 1)
+    diagonal = np.diagonal(w, axis1=1, axis2=2).real
+    trace = diagonal.sum(axis=1)
+    flat = w.reshape(count, dim * dim).view(np.float64)
+    scale = radius / np.sqrt(np.einsum("ij,ij->i", flat, flat) / (trace * trace) - 1.0 / dim)
+
+    def certified(upper, scale):
+        return 1.0 / dim - scale * (1.0 / dim - upper) < -SCREEN_MARGIN
+
+    reject = certified(diagonal.min(axis=1) / trace, scale)
+    # No bound can certify a row with 1/N - s/N >= -SCREEN_MARGIN, since
+    # lambda_min(rho0) >= 0; the rest take the Cholesky bound.
+    open_rows = ~reject & (scale > 1.0 + dim * SCREEN_MARGIN)
+    if open_rows.any():
+        # Rounding can leave a near-singular w indefinite.  The shift bounds
+        # that rounding, so the factorization cannot fail, and taking it off
+        # again keeps the bound: lambda_min(w) = lambda_min(w + shift I) - shift.
+        shift = 4 * dim * np.finfo(np.float64).eps * trace[open_rows]
+        gram = w[open_rows]
+        _shift_diagonal(gram, shift)
+        pivots = np.diagonal(np.linalg.cholesky(gram), axis1=1, axis2=2).real
+        upper = ((pivots * pivots).min(axis=1) - shift) / trace[open_rows]
+        reject[open_rows] = certified(upper, scale[open_rows])
+    return reject
+
+
 def shell_batch(rng: np.random.Generator, dim: int, radius: float, count: int) -> np.ndarray:
     """`count` attempts at states on the shell of HS radius `radius` around I/N.
 
@@ -241,7 +314,7 @@ def shell_batch(rng: np.random.Generator, dim: int, radius: float, count: int) -
     Delta = rho0 - I/N to the target norm, and is rejected when the result
     leaves the PSD cone (smallest eigenvalue below -SHELL_PSD_TOL).  Returns
     the accepted states as a (k, N, N) stack, each Hermitian to the bit and
-    of unit trace.
+    of unit trace; k = 0 gives an empty (0, N, N) stack.
 
     The attempts are stacked.  Every stacked operation is elementwise or
     per matrix, and the trace and norm reductions (`_stacked_traces`,
@@ -266,20 +339,48 @@ def shell_batch(rng: np.random.Generator, dim: int, radius: float, count: int) -
     eigen-solve's own tolerance, so each settled row gets the verdict the
     eigen-solve would give.  Only the remaining rows go through one stacked
     `eigvalsh`.
+
+    Beyond the typical HS distance r_hs(N) (`_typical_hs_radius`) almost
+    every candidate has s > 1 and most are rejects.  There the uniforms
+    first pass a screen (`_screen_rejects`) built on a float32 Box-Muller
+    transform, whose cosine and sine cost a tenth of the float64 ones:
+    the Gram matrix w = G G† of those normals, t = tr w,
+    ||Delta||^2 = ||w||_F^2 / t^2 - 1/N, and, since s > 0, the exact
+    smallest eigenvalue 1/N - s (1/N - lambda_min(rho0)) of the candidate.
+    Any U >= lambda_min(rho0) bounds it from above: min diag(w) / t, or,
+    for rows that bound leaves open, min_i |L_ii|^2 / t from a Cholesky
+    factor w = L L†, since sigma_min(L)^2 <= |L_ii|^2 for a triangular L.
+    A row whose bound lies below -SCREEN_MARGIN is dropped; the margin is
+    far above what the float32 normals move the bound, so each dropped row
+    is one the exact path rejects.  The surviving rows' uniforms go through
+    the float64 path unchanged, so output and stream stay bit-identical.
+    Inside r_hs the screen never runs, and every claimed PPT radius
+    (`claim_check`, d = 2..6) lies inside it: at d = 2 the claim is
+    1/sqrt(12) = 0.2887 < r_hs(4) = 0.4697 (the general formula's 0.4733
+    would lie beyond it).
     """
-    re, im = _box_muller(rng.random((count, 2, dim * dim)))
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    u = rng.random((count, 2, dim * dim))
+    if radius > _typical_hs_radius(dim):
+        u = u[~_screen_rejects(u, dim, radius)]
+    count = len(u)
+    if not count:
+        return np.empty((0, dim, dim), dtype=np.complex128)
+
+    re, im = _box_muller(u)
     g = (re + 1j * im).reshape(count, dim, dim)
-    w = g @ g.conj().transpose(0, 2, 1)
-    rho0 = w / _stacked_traces(w)[:, None, None]
+    rho0 = g @ g.conj().transpose(0, 2, 1)
+    _scale_rows(rho0, 1.0 / _stacked_traces(rho0))
     # Symmetrized as DensityMatrix stores an HS state.  The steps below
     # (subtract a real diagonal, scale by a real factor, add it back) keep
     # every candidate Hermitian to the bit, so none needs a second pass.
-    rho0 = (rho0 + rho0.conj().transpose(0, 2, 1)) / 2
+    candidates = (rho0 + rho0.conj().transpose(0, 2, 1)) / 2
+    _shift_diagonal(candidates, -1.0 / dim)
+    scale = radius / _stacked_norms(candidates)
+    _scale_rows(candidates, scale)
+    _shift_diagonal(candidates, 1.0 / dim)
 
-    eye = np.eye(dim, dtype=np.complex128) / dim
-    delta = rho0 - eye
-    scale = radius / _stacked_norms(delta)
-    candidates = eye + scale[:, None, None] * delta
     keep, reject = _psd_bounds(candidates, scale, radius)
     undecided = ~(keep | reject)
     if undecided.any():

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from pptgeo import states
 from pptgeo.bipartite import BipartiteSplit, is_ppt, min_pt_eigenvalues
+from pptgeo.bounds import ppt_radius
+from pptgeo.harness import claim_check
 from pptgeo.linalg import DimensionMismatch, hs_distance
 from pptgeo.states import (
     SHELL_BOUND_MARGIN,
@@ -225,8 +227,8 @@ def test_shell_acceptance_nonincreasing_report():
 # Radii in units of the spectral floor 1/sqrt(N(N-1)).  The first lies
 # inside the floor, where every row is a certified accept; the middle two mix
 # PPT and NPT samples and also reject some attempts; the last sits at 0.95 of
-# the outer radius sqrt((N-1)/N) = (N-1) floors, where most rows are
-# certified diagonal rejects.
+# the outer radius sqrt((N-1)/N) = (N-1) floors, beyond r_hs(N), where the
+# single-precision screen drops most rows.
 SHELL_CASES = {4: ((2, 2), (0.9, 1.5, 2.0, 2.85)), 6: ((2, 3), (0.9, 1.7, 2.2, 4.75)),
                8: ((2, 4), (0.9, 2.0, 2.6, 6.65)), 9: ((3, 3), (0.9, 2.2, 2.8, 7.6)),
                16: ((4, 4), (0.9, 2.2, 3.8, 14.25)), 25: ((5, 5), (0.9, 3.0, 5.0, 22.8))}
@@ -241,16 +243,26 @@ def test_shell_chunk_budget():
 @pytest.mark.parametrize("dim", sorted(SHELL_CASES))
 def test_shell_batch_bit_identical_to_per_sample_reference(dim, monkeypatch):
     # Rows settled by each branch of the PSD decision: certified accept,
-    # certified reject, eigen-solve.
+    # certified reject (by the diagonal bound or the single-precision
+    # screen), eigen-solve; and the rows the screen dropped.
     branches = np.zeros(3, dtype=int)
+    screened = np.zeros(1, dtype=int)
     bounds = states._psd_bounds
+    screen = states._screen_rejects
 
     def counted_bounds(candidates, scale, radius):
         accept, reject = bounds(candidates, scale, radius)
         branches[:] += [accept.sum(), reject.sum(), (~(accept | reject)).sum()]
         return accept, reject
 
+    def counted_screen(u, dim, radius):
+        reject = screen(u, dim, radius)
+        branches[1] += reject.sum()
+        screened[0] += reject.sum()
+        return reject
+
     monkeypatch.setattr(states, "_psd_bounds", counted_bounds)
+    monkeypatch.setattr(states, "_screen_rejects", counted_screen)
 
     (m, n), factors = SHELL_CASES[dim]
     chunk = shell_chunk(dim)
@@ -279,6 +291,135 @@ def test_shell_batch_bit_identical_to_per_sample_reference(dim, monkeypatch):
             ppt += int(np.sum(floors >= -1e-9))
     assert rejected > 0 and npt > 0 and ppt > 0
     assert np.all(branches > 0), f"branch rows (accept, reject, eigen-solve): {branches}"
+    assert screened[0] > 0
+
+
+def test_shell_batch_empty_and_negative_count(monkeypatch):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for dim, radius in ((4, 0.2), (9, 0.9)):  # inside and beyond r_hs(N)
+        empty = shell_batch(rng, dim, radius, 0)
+        assert empty.shape == (0, dim, dim) and empty.dtype == np.complex128
+    assert rng.bit_generator.state == state
+
+    def no_exact_path(*args, **kwargs):
+        raise AssertionError("the float64 path ran on a fully screened chunk")
+
+    # At 0.99 of the outer radius the screen drops this whole chunk.
+    monkeypatch.setattr(states, "_stacked_norms", no_exact_path)
+    dropped = shell_batch(rng, 16, 0.99 * np.sqrt(15 / 16), shell_chunk(16))
+    assert dropped.shape == (0, 16, 16) and dropped.dtype == np.complex128
+    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+        shell_batch(rng, 4, 0.5, -1)
+
+
+class _Replay:
+    """Stands in for a generator: hands out shell uniforms (k, 2, N^2) in
+    stream order, as `reference_shell_attempt` draws them."""
+
+    def __init__(self, u):
+        self._draws = iter(u.reshape(-1, u.shape[-1]))
+
+    def random(self, n):
+        draw = next(self._draws)
+        assert len(draw) == n
+        return draw
+
+
+def _exact_rejects(u, dim, radius):
+    replay = _Replay(u)
+    return np.array([reference_shell_attempt(replay, dim, radius) is None for _ in range(len(u))])
+
+
+def _uniforms_for(g):
+    """Shell uniforms whose Box-Muller normals are the complex stack g."""
+    flat = g.reshape(len(g), -1)
+    return np.stack([-np.expm1(-np.abs(flat) ** 2 / 2), np.angle(flat) / (2 * np.pi) % 1.0], axis=1)
+
+
+@pytest.mark.parametrize("dim", sorted(SHELL_CASES))
+def test_screen_drops_only_exact_rejects(dim):
+    # Every row the single-precision screen drops has a float64 candidate
+    # whose smallest eigenvalue lies below -SHELL_PSD_TOL, from just beyond
+    # r_hs(N) to 0.99 of the outer radius; and it drops most of them.
+    count = 200
+    outer = np.sqrt((dim - 1) / dim)
+    screened = rejects = 0
+    for radius in np.linspace(1.001 * states._typical_hs_radius(dim), 0.99 * outer, 6):
+        u = np.random.default_rng([dim, int(radius * 1e6)]).random((count, 2, dim * dim))
+        drop = states._screen_rejects(u, dim, radius)
+        exact = _exact_rejects(u, dim, radius)
+        assert not np.any(drop & ~exact), f"screened an exact accept at r={radius}"
+        screened += int(drop.sum())
+        rejects += int(exact.sum())
+    assert screened >= 0.75 * rejects, f"screened {screened} of {rejects} exact rejects"
+
+
+def test_screen_on_constructed_rows():
+    dim, radius = 4, 0.6  # beyond r_hs(4) = 0.4697
+    rng = np.random.default_rng(5)
+    # rho0 = P / (N - 1), P = I - |phi><phi| for the uniform unit vector phi:
+    # an equal diagonal 1/N and lambda_min(rho0) = 0.  The diagonal bound
+    # leaves these rows open and the Cholesky bound certifies them.
+    proj = np.eye(dim) - np.full((dim, dim), 1.0 / dim)
+    unitaries = [np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+                 for _ in range(4)]
+    u = _uniforms_for(np.stack([proj] + [proj @ v for v in unitaries]))
+    assert _exact_rejects(u, dim, radius).all()
+    assert states._screen_rejects(u, dim, radius).all()
+
+    # Diagonal rho0 = diag(p) on the shell where the candidate's smallest
+    # eigenvalue 1/N - s (1/N - min p) is exactly 0: accepted, never screened.
+    rows = 0
+    while rows < 16:
+        p = rng.dirichlet(np.ones(dim))
+        edge = np.linalg.norm(p - 1.0 / dim) / (1.0 - dim * p.min())
+        if not states._typical_hs_radius(dim) < edge < np.sqrt((dim - 1) / dim):
+            continue
+        u = _uniforms_for(np.diag(np.sqrt(p))[None])
+        assert not _exact_rejects(u, dim, edge)[0]
+        assert not states._screen_rejects(u, dim, edge)[0], f"screened a PSD boundary row, p={p}"
+        rows += 1
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_claimed_ppt_radius_lies_inside_typical_hs_distance(d):
+    # The screen runs only beyond r_hs(N), so no claim-check shell (at most
+    # the claimed PPT radius) ever takes it.
+    assert ppt_radius(d * d) < states._typical_hs_radius(d * d)
+
+
+def test_claim_check_runs_without_the_screen(monkeypatch):
+    def no_screen(*args, **kwargs):
+        raise AssertionError("screen ran on a claim-check shell")
+
+    monkeypatch.setattr(states, "_screen_rejects", no_screen)
+    report = claim_check(3, samples=50)
+    assert all(row.samples == 50 for row in report.shells.rows)
+
+
+@pytest.mark.parametrize("count", [1, 7, 50])
+def test_shell_shortcuts_match_complex_arithmetic(count):
+    # shell_batch divides by the trace, shifts by I/N and scales by s through
+    # real views and the diagonal; each gives numpy's complex result bit for
+    # bit on Gram stacks like the sampler's.
+    rng = np.random.default_rng(count)
+    for dim in range(2, 26):
+        g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+        w = g @ g.conj().transpose(0, 2, 1)
+        traces = states._stacked_traces(w)
+        rho = w / traces[:, None, None]
+        states._scale_rows(w, 1.0 / traces)
+        assert w.tobytes() == rho.tobytes(), dim
+        rho = (rho + rho.conj().transpose(0, 2, 1)) / 2
+        eye = np.eye(dim, dtype=np.complex128) / dim
+        scale = rng.uniform(0.5, 4.0, count)
+        got = rho.copy()
+        states._shift_diagonal(got, -1.0 / dim)
+        assert got.tobytes() == (rho - eye).tobytes(), dim
+        states._scale_rows(got, scale)
+        states._shift_diagonal(got, 1.0 / dim)
+        assert got.tobytes() == (eye + scale[:, None, None] * (rho - eye)).tobytes(), dim
 
 
 def test_shell_batch_inside_floor_runs_no_eigensolve(monkeypatch):
