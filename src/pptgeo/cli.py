@@ -225,12 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = args.run(args)
+        _emit(args.run(args), args.out)
     except (ValueError, OSError, KeyError, ShellUnreachable) as exc:
         # ValueError also covers numpy's LinAlgError from a failed eigen-solve.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
     return 0
 
 

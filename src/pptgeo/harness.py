@@ -1,15 +1,19 @@
 """Claim-verification harness: Werner sweeps, shell scans, spectrum checks.
 
 Every report is deterministic given its base seed (shards draw from
-base_seed + index), and claim checks never hard-fail on a refuted radius
-claim: the verdict plus a serialized counterexample state is the output, so
-a correct run stays green even when the claim under test is not.
+base_seed + index, whether in this process or in forked workers), and claim
+checks never hard-fail on a refuted radius claim: the verdict plus a
+serialized counterexample state is the output, so a correct run stays green
+even when the claim under test is not.
 """
 
 from __future__ import annotations
 
 import datetime
 import io
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -157,58 +161,141 @@ class ShellReport:
     worst_min_pt: float | None = None
 
 
+def _scan_shell(total_dim: int, split: BipartiteSplit, radius: float, samples: int,
+                seed: int) -> tuple[ShellRow, np.ndarray | None]:
+    """One shell of `shell_scan`, drawn from default_rng(seed) chunk by chunk.
+
+    Returns its row and the first accepted sample whose PT floor is the
+    shell's minimum, row.min_pt_eig (None when no sample was accepted).
+    """
+    rng = np.random.default_rng(seed)
+    chunk = shell_chunk(total_dim)
+    accepted = 0
+    ppt_count = 0
+    min_pt = np.inf
+    worst = None
+    for start in range(0, samples, chunk):
+        states = shell_batch(rng, total_dim, radius, min(chunk, samples - start))
+        if not len(states):
+            continue
+        floors = min_pt_eigenvalues(states, split)
+        accepted += len(states)
+        ppt_count += int(np.count_nonzero(floors >= -PPT_TOL))
+        lowest = int(np.argmin(floors))
+        if floors[lowest] < min_pt:
+            min_pt = float(floors[lowest])
+            worst = states[lowest].copy()
+    row = ShellRow(
+        radius=radius,
+        samples=samples,
+        accepted=accepted,
+        ppt_count=ppt_count,
+        ppt_fraction=(ppt_count / accepted) if accepted else 0.0,
+        min_pt_eig=min_pt if accepted else float("nan"),
+    )
+    return row, worst
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (1 where the platform cannot tell)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _fork_map(fn: Callable, jobs: list[tuple]) -> list:
+    """[fn(*job) for job in jobs], dealt round-robin to forked processes.
+
+    With k = min(len(jobs), usable CPUs) workers, this process runs
+    jobs[0::k] and forked child j runs jobs[j::k], sending its results (or
+    its exception) back pickled over a pipe.  A child's exception is raised
+    here with its type and message.  Every child is reaped before this
+    returns or raises.  Without fork, with one worker, or when other threads
+    run (a fork copies only the calling thread), every job runs here.
+    """
+    k = min(len(jobs), _usable_cpus())
+    if k < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
+        return [fn(*job) for job in jobs]
+    children = []  # [pid, read end or None once read]
+    try:
+        for j in range(1, k):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                # The child leaves by os._exit alone, so it never returns into
+                # the caller's stack or flushes buffers it shares with it.
+                try:
+                    os.close(read_end)
+                    try:
+                        data = pickle.dumps((True, [fn(*job) for job in jobs[j::k]]))
+                    except Exception as exc:
+                        data = pickle.dumps((False, exc))
+                    with os.fdopen(write_end, "wb") as pipe:
+                        pipe.write(data)
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            children.append([pid, read_end])
+        results = [None] * len(jobs)
+        results[0::k] = [fn(*job) for job in jobs[0::k]]
+        for j, child in enumerate(children, start=1):
+            with os.fdopen(child[1], "rb") as pipe:
+                child[1] = None
+                data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"worker process {child[0]} ended without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results[j::k] = value
+        return results
+    finally:
+        # A child whose result is not read runs its jobs to the end; its
+        # write to the closed pipe then fails and it exits.
+        for pid, read_end in children:
+            if read_end is not None:
+                os.close(read_end)
+            os.waitpid(pid, 0)
+
+
 def shell_scan(total_dim: int, split: BipartiteSplit, radii, samples_per_shell: int = DEFAULT_SAMPLES_PER_SHELL,
                base_seed: int = 0, capture_worst: bool = False) -> ShellReport:
     """Sample each shell and record acceptance and PPT statistics.
 
-    Unreachable shells (every attempt rejected) surface as accepted = 0
-    rather than an error.
+    Shell i draws from default_rng(base_seed + i) alone, so the shells run
+    in forked processes when several CPUs are usable (`_fork_map`) and the
+    report is the same byte for byte.  Unreachable shells (every attempt
+    rejected) surface as accepted = 0 rather than an error.
     """
     split.check_dim(total_dim)
     radii = [float(r) for r in radii]
     outer = ball_radius(total_dim)
+    if not radii:
+        raise ValueError("radii must not be empty")
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly ascending")
     if any(not 0.0 < r < outer for r in radii):
         raise ValueError(f"radii must lie in (0, {outer:.6f})")
     if samples_per_shell < 1:
         raise ValueError("samples_per_shell must be >= 1")
+    if base_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {base_seed}")
 
-    rows = []
-    chunk = shell_chunk(total_dim)
+    shells = _fork_map(_scan_shell, [(total_dim, split, radius, samples_per_shell, base_seed + index)
+                                     for index, radius in enumerate(radii)])
     worst_matrix, worst_radius, worst_min_pt = None, None, np.inf
-    for index, radius in enumerate(radii):
-        rng = np.random.default_rng(base_seed + index)
-        accepted = 0
-        ppt_count = 0
-        min_pt = np.inf
-        for start in range(0, samples_per_shell, chunk):
-            states = shell_batch(rng, total_dim, radius, min(chunk, samples_per_shell - start))
-            if not len(states):
-                continue
-            floors = min_pt_eigenvalues(states, split)
-            accepted += len(states)
-            ppt_count += int(np.count_nonzero(floors >= -PPT_TOL))
-            lowest = int(np.argmin(floors))
-            floor = float(floors[lowest])
-            min_pt = min(min_pt, floor)
-            if capture_worst and floor < worst_min_pt:
-                worst_matrix = states[lowest].copy()
-                worst_radius = radius
-                worst_min_pt = floor
-        rows.append(ShellRow(
-            radius=radius,
-            samples=samples_per_shell,
-            accepted=accepted,
-            ppt_count=ppt_count,
-            ppt_fraction=(ppt_count / accepted) if accepted else 0.0,
-            min_pt_eig=min_pt if accepted else float("nan"),
-        ))
+    for row, worst in shells:
+        # Strict: a tie keeps the earlier shell's state.
+        if capture_worst and worst is not None and row.min_pt_eig < worst_min_pt:
+            worst_matrix, worst_radius, worst_min_pt = worst, row.radius, row.min_pt_eig
     worst_state = None if worst_matrix is None else DensityMatrix(dim=total_dim, matrix=worst_matrix)
     return ShellReport(
         total_dim=total_dim,
         split=split,
-        rows=tuple(rows),
+        rows=tuple(row for row, _ in shells),
         samples_per_shell=samples_per_shell,
         base_seed=base_seed,
         generator=GENERATOR_ID,

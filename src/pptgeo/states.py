@@ -32,12 +32,6 @@ PURE_NORM_TOL = 1e-12
 # acceptance eigen-solve already proves every accepted sample PSD and no
 # second solve is needed before it leaves the sampler.
 SHELL_PSD_TOL = 1e-12
-# A closed-form bound settles a shell PSD decision only when it clears the
-# eigen-solve threshold by this margin.  The eigensolver's backward error is
-# of order N * eps * ||candidate|| (below 1e-14 for these unit-trace
-# matrices), far under the margin, so each bound-settled decision is the
-# one the eigen-solve test would make.
-SHELL_BOUND_MARGIN = 1e-13
 # Beyond the typical HS distance (`_typical_hs_radius`) most shell candidates
 # are rejects, and a screen on single-precision normals drops the rows whose
 # upper bound on the candidate's smallest eigenvalue lies below
@@ -253,17 +247,12 @@ def _shift_diagonal(x: np.ndarray, value: float | np.ndarray) -> None:
     diagonal += np.reshape(value, (-1, 1))
 
 
-def _psd_bounds(candidates: np.ndarray, scale: np.ndarray,
-                radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of a shell-candidate stack that closed-form bounds certify as
-    accepted, and rows they certify as rejected (see shell_batch)."""
-    count, dim = candidates.shape[:2]
+def _psd_bounds(dim: int, scale: np.ndarray, radius: float) -> np.ndarray:
+    """Rows of a shell-candidate stack, with rescale factors `scale`, that
+    closed-form bounds certify as accepted (see shell_batch)."""
     if radius <= 1.0 / np.sqrt(dim * (dim - 1)):
-        return np.ones(count, dtype=bool), np.zeros(count, dtype=bool)
-    accept = scale <= 1.0
-    lowest_diagonal = np.diagonal(candidates, axis1=1, axis2=2).real.min(axis=1)
-    reject = ~accept & (lowest_diagonal < -SHELL_PSD_TOL - SHELL_BOUND_MARGIN)
-    return accept, reject
+        return np.ones(len(scale), dtype=bool)
+    return scale <= 1.0
 
 
 def _typical_hs_radius(dim: int) -> float:
@@ -322,7 +311,7 @@ def shell_batch(rng: np.random.Generator, dim: int, radius: float, count: int) -
     `np.linalg.norm` do, so the result and the generator stream are
     bit-identical to `count` single attempts.
 
-    Closed-form bounds settle most PSD decisions without an eigen-solve.
+    Closed-form bounds certify most accepts without an eigen-solve.
     With s = radius / ||Delta||, a candidate is
     I/N + s Delta = (1 - s) I/N + s rho0, so:
 
@@ -330,13 +319,9 @@ def shell_batch(rng: np.random.Generator, dim: int, radius: float, count: int) -
     - radius <= 1/sqrt(N(N-1)), the spectral floor, is a certified accept
       for every row: a traceless Hermitian matrix of HS norm r has no
       eigenvalue below -r sqrt((N-1)/N), which is -1/N there.
-    - The smallest eigenvalue is at most the smallest diagonal entry, so a
-      diagonal entry below -SHELL_PSD_TOL - SHELL_BOUND_MARGIN is a
-      certified reject.
 
-    Rounding moves the accepts' bound by order N * eps, and the reject
-    clears the threshold by SHELL_BOUND_MARGIN, both far inside the
-    eigen-solve's own tolerance, so each settled row gets the verdict the
+    Rounding moves these bounds by order N * eps, far inside the
+    eigen-solve's own tolerance, so each certified row gets the verdict the
     eigen-solve would give.  Only the remaining rows go through one stacked
     `eigvalsh`.
 
@@ -381,8 +366,8 @@ def shell_batch(rng: np.random.Generator, dim: int, radius: float, count: int) -
     _scale_rows(candidates, scale)
     _shift_diagonal(candidates, 1.0 / dim)
 
-    keep, reject = _psd_bounds(candidates, scale, radius)
-    undecided = ~(keep | reject)
+    keep = _psd_bounds(dim, scale, radius)
+    undecided = ~keep
     if undecided.any():
         keep[undecided] = np.linalg.eigvalsh(candidates[undecided])[:, 0] >= -SHELL_PSD_TOL
     accepted = candidates[keep]

@@ -270,6 +270,35 @@ def test_shell_unreachable_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: no PSD state found on shell r=0.9\n"
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "shells.csv"
+    code = main(["shell-scan", "--N", "4", "--split", "2x2", "--radii", "0.1",
+                 "--samples", "10", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["shell-scan", "--N", "4", "--split", "2x2", "--radii", "0.1,0.2", "--samples", "10"],
+    ["claim-check", "--d", "2", "--samples", "10"],
+])
+def test_negative_seed_exits_2(capsys, args):
+    code = main(args + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
+def test_empty_radii_exit_2(capsys):
+    code = main(["shell-scan", "--N", "4", "--split", "2x2", "--radii", ","])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: radii must not be empty\n"
+    assert captured.out == ""
+
+
 def test_eigensolver_no_convergence_exits_2(monkeypatch, capsys, werner26_file):
     # Only the witness search's own eigen-solves fail, as LAPACK's do: numpy
     # raises LinAlgError.  Loading and validating the input still succeeds.

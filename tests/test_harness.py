@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pptgeo import serialize
+from pptgeo import harness, serialize
 from pptgeo.bipartite import BipartiteSplit, pt_spectrum_analytic, schmidt
 from pptgeo.harness import (
     VERDICT_CONSISTENT,
@@ -21,7 +26,7 @@ from pptgeo.harness import (
     verify_claim_report,
     werner_sweep,
 )
-from pptgeo.states import PureState
+from pptgeo.states import PureState, ShellUnreachable, shell_chunk
 
 from conftest import werner_min_pt_oracle
 
@@ -143,6 +148,153 @@ def test_shell_csv_deterministic():
     b = shells_to_csv(shell_scan(9, split, [0.1, 0.3], samples_per_shell=100, base_seed=9))
     assert a == b
     assert "# generator=pcg64+box-muller" in a
+
+
+def test_shell_scan_rejects_empty_radii_and_negative_seed():
+    split = BipartiteSplit(2, 2)
+    with pytest.raises(ValueError, match="radii must not be empty"):
+        shell_scan(4, split, [], samples_per_shell=10)
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        shell_scan(4, split, [0.1, 0.2], samples_per_shell=10, base_seed=-1)
+
+
+# --- shells in forked workers -------------------------------------------------
+
+def _report_fields(report):
+    worst = None if report.worst_state is None else report.worst_state.matrix.tobytes()
+    # repr, since a shell no sample reaches has min_pt_eig nan, and nan != nan.
+    return (shells_to_csv(report), repr(report.rows), report.worst_radius,
+            report.worst_min_pt, worst)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the forks made by this process."""
+    count = [0]
+    fork = os.fork
+
+    def counted():
+        count[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return count
+
+
+# N = 9 stacks 50 samples a chunk, N = 4 stacks 256.  The radii run past
+# r_hs(N), where the screen drops rows, and at N = 4 to a shell that no
+# sample reaches.
+PARITY_CASES = [((3, 3), (0.05, 0.15, 0.3, 0.45, 0.8), 130),
+                ((2, 2), (0.1, 0.3, 0.5, 0.7, 0.86), 300),
+                ((2, 3), (0.1, 0.25, 0.4, 0.55, 0.7), 1)]
+
+
+@pytest.mark.parametrize("factors, radii, samples", PARITY_CASES)
+def test_forked_scan_matches_in_process_scan(monkeypatch, forks, factors, radii, samples):
+    split = BipartiteSplit(*factors)
+    assert samples % shell_chunk(split.dim) != 0
+    for count in range(1, len(radii) + 1):
+        for capture in (False, True):
+            args = (split.dim, split, radii[:count])
+            kwargs = dict(samples_per_shell=samples, base_seed=count, capture_worst=capture)
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+            before = forks[0]
+            expected = _report_fields(shell_scan(*args, **kwargs))
+            assert forks[0] == before
+            assert (expected[4] is not None) == capture
+            for workers in (2, 3):
+                monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+                before = forks[0]
+                assert _report_fields(shell_scan(*args, **kwargs)) == expected
+                assert forks[0] - before == min(workers, count) - 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tied_shell_minima_keep_the_earlier_shell(monkeypatch, workers):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+
+    def tied(total_dim, split, radius, samples, seed):
+        row = harness.ShellRow(radius, samples, samples, 0, 0.0, -0.1)
+        return row, np.eye(total_dim, dtype=np.complex128) / total_dim
+
+    monkeypatch.setattr(harness, "_scan_shell", tied)
+    report = shell_scan(4, BipartiteSplit(2, 2), [0.1, 0.2, 0.3], samples_per_shell=5,
+                        capture_worst=True)
+    assert report.worst_radius == 0.1
+    assert report.worst_min_pt == -0.1
+
+
+def _fail_in(monkeypatch, where, failing_seed):
+    """Make the shell with seed `failing_seed` raise in the parent or a child."""
+    parent = os.getpid()
+    scan = harness._scan_shell
+
+    def scan_or_fail(total_dim, split, radius, samples, seed):
+        if seed == failing_seed and (os.getpid() == parent) == (where == "parent"):
+            raise ShellUnreachable(f"no PSD state found on shell r={radius} (seed {seed})")
+        return scan(total_dim, split, radius, samples, seed)
+
+    monkeypatch.setattr(harness, "_scan_shell", scan_or_fail)
+
+
+@pytest.mark.parametrize("workers, where, failing_seed", [
+    (2, "child", 1), (3, "child", 2), (3, "child", 1), (2, "parent", 0), (3, "parent", 3),
+])
+def test_worker_error_is_raised_and_every_child_reaped(monkeypatch, forks, workers, where,
+                                                       failing_seed):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+    _fail_in(monkeypatch, where, failing_seed)
+    radii = [0.1, 0.2, 0.3, 0.4, 0.5]
+    with pytest.raises(ShellUnreachable) as info:
+        shell_scan(9, BipartiteSplit(3, 3), radii, samples_per_shell=60)
+    assert str(info.value) == (f"no PSD state found on shell r={radii[failing_seed]} "
+                               f"(seed {failing_seed})")
+    assert forks[0] == workers - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_scan_stays_in_process_while_other_threads_run(monkeypatch, forks):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    split = BipartiteSplit(3, 3)
+    expected = shells_to_csv(shell_scan(9, split, [0.1, 0.3], samples_per_shell=60))
+    assert forks[0] == 1
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        got = shells_to_csv(shell_scan(9, split, [0.1, 0.3], samples_per_shell=60))
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert got == expected
+    assert forks[0] == 1
+
+
+def _worst_pt_floor(total_dim, radius):
+    """f(r) = 1/N - r sqrt((N-1)/N): no state at HS distance r from I/N has a
+    partial transpose with a lower eigenvalue (the partial transpose is an HS
+    isometry fixing I/N)."""
+    return 1 / total_dim - radius * math.sqrt((total_dim - 1) / total_dim)
+
+
+@settings(max_examples=25, deadline=None)
+@given(factors=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4)]),
+       fractions=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=5, unique=True),
+       samples=st.integers(1, 80),
+       seed=st.integers(0, 2**16))
+def test_no_shell_row_lies_below_the_worst_pt_floor(factors, fractions, samples, seed):
+    split = BipartiteSplit(*factors)
+    outer = math.sqrt((split.dim - 1) / split.dim)
+    radii = sorted({outer * x for x in fractions})
+    with mock.patch.object(harness, "_usable_cpus", lambda: 2):
+        report = shell_scan(split.dim, split, radii, samples_per_shell=samples,
+                            base_seed=seed, capture_worst=True)
+    for row in report.rows:
+        assert not row.min_pt_eig < _worst_pt_floor(split.dim, row.radius) - 1e-12
+    if report.worst_state is not None:
+        assert report.worst_min_pt == min(r.min_pt_eig for r in report.rows if r.accepted)
 
 
 # --- spectrum check ----------------------------------------------------------

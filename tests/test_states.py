@@ -9,8 +9,6 @@ from pptgeo.bounds import ppt_radius
 from pptgeo.harness import claim_check
 from pptgeo.linalg import DimensionMismatch, hs_distance
 from pptgeo.states import (
-    SHELL_BOUND_MARGIN,
-    SHELL_PSD_TOL,
     DensityMatrix,
     NotNormalized,
     PureState,
@@ -243,22 +241,19 @@ def test_shell_chunk_budget():
 @pytest.mark.parametrize("dim", sorted(SHELL_CASES))
 def test_shell_batch_bit_identical_to_per_sample_reference(dim, monkeypatch):
     # Rows settled by each branch of the PSD decision: certified accept,
-    # certified reject (by the diagonal bound or the single-precision
-    # screen), eigen-solve; and the rows the screen dropped.
+    # reject by the single-precision screen, eigen-solve.
     branches = np.zeros(3, dtype=int)
-    screened = np.zeros(1, dtype=int)
     bounds = states._psd_bounds
     screen = states._screen_rejects
 
-    def counted_bounds(candidates, scale, radius):
-        accept, reject = bounds(candidates, scale, radius)
-        branches[:] += [accept.sum(), reject.sum(), (~(accept | reject)).sum()]
-        return accept, reject
+    def counted_bounds(dim, scale, radius):
+        accept = bounds(dim, scale, radius)
+        branches[[0, 2]] += [accept.sum(), (~accept).sum()]
+        return accept
 
     def counted_screen(u, dim, radius):
         reject = screen(u, dim, radius)
         branches[1] += reject.sum()
-        screened[0] += reject.sum()
         return reject
 
     monkeypatch.setattr(states, "_psd_bounds", counted_bounds)
@@ -290,8 +285,7 @@ def test_shell_batch_bit_identical_to_per_sample_reference(dim, monkeypatch):
             npt += int(np.sum(floors < -1e-9))
             ppt += int(np.sum(floors >= -1e-9))
     assert rejected > 0 and npt > 0 and ppt > 0
-    assert np.all(branches > 0), f"branch rows (accept, reject, eigen-solve): {branches}"
-    assert screened[0] > 0
+    assert np.all(branches > 0), f"branch rows (accept, screened, eigen-solve): {branches}"
 
 
 def test_shell_batch_empty_and_negative_count(monkeypatch):
@@ -434,20 +428,12 @@ def test_shell_batch_inside_floor_runs_no_eigensolve(monkeypatch):
 
 
 def test_psd_bounds_leave_near_threshold_rows_to_the_eigensolve():
-    # A bound settles a row only when it clears -SHELL_PSD_TOL by the
-    # margin; a PSD row with a zero diagonal entry is never rejected.
-    radius = 0.5  # beyond the N = 4 floor 1/sqrt(12)
-
-    def bounds(lowest, scale):
-        candidate = np.diag([lowest, 1 / 3, 1 / 3, 1 / 3 - lowest]).astype(np.complex128)
-        accept, reject = states._psd_bounds(candidate[None], np.array([scale]), radius)
-        return bool(accept[0]), bool(reject[0])
-
-    assert bounds(0.0, 1.0) == (True, False)
-    for lowest in (0.0, -SHELL_PSD_TOL, -SHELL_PSD_TOL - 0.5 * SHELL_BOUND_MARGIN):
-        assert bounds(lowest, 1.5) == (False, False)
-    assert bounds(-SHELL_PSD_TOL - 2 * SHELL_BOUND_MARGIN, 1.5) == (False, True)
-    assert SHELL_BOUND_MARGIN >= 1e-13
+    # The bounds only accept: s <= 1, or any row inside the spectral floor.
+    # Beyond the floor every row with s > 1 is left to the eigen-solve.
+    scale = np.array([0.5, 1.0, 1.0 + 1e-15, 1.5])
+    floor = 1 / np.sqrt(12)
+    assert states._psd_bounds(4, scale, 0.5).tolist() == [True, True, False, False]
+    assert states._psd_bounds(4, scale, floor).all()
 
 
 @pytest.mark.parametrize("count", [1, 7, 50, 256])
