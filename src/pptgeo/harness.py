@@ -1,8 +1,10 @@
 """Claim-verification harness: Werner sweeps, shell scans, spectrum checks.
 
-Every report is deterministic given its base seed (shards draw from
-base_seed + index, whether in this process or in forked workers), and claim
-checks never hard-fail on a refuted radius claim: the verdict plus a
+Every report is deterministic given its base seed: shell i of a scan draws
+from base_seed + i, and each part of a shell from that stream advanced to its
+first sample, whether it runs in this process or in a helper process forked
+once and kept for later scans (helpers run the code as loaded when forked).
+Claim checks never hard-fail on a refuted radius claim: the verdict plus a
 serialized counterexample state is the output, so a correct run stays green
 even when the claim under test is not.
 """
@@ -10,10 +12,9 @@ even when the claim under test is not.
 from __future__ import annotations
 
 import datetime
+import functools
 import io
 import os
-import pickle
-import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -42,6 +43,7 @@ from .states import (
     standard_normals,
     werner,
 )
+from .workers import pool_map
 
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_COUNTEREXAMPLE = "COUNTEREXAMPLE_FOUND"
@@ -161,39 +163,33 @@ class ShellReport:
     worst_min_pt: float | None = None
 
 
-def _scan_shell(total_dim: int, split: BipartiteSplit, radius: float, samples: int,
-                seed: int) -> tuple[ShellRow, np.ndarray | None]:
-    """One shell of `shell_scan`, drawn from default_rng(seed) chunk by chunk.
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Tallies (accepted, ppt_count, min PT floor, its state) of consecutive
+    sample ranges a then b; strict <, so a tie keeps a's state."""
+    return (a[0] + b[0], a[1] + b[1], *(b[2:] if b[2] < a[2] else a[2:]))
 
-    Returns its row and the first accepted sample whose PT floor is the
-    shell's minimum, row.min_pt_eig (None when no sample was accepted).
+
+def _scan_part(total_dim: int, split: BipartiteSplit, radius: float, seed: int,
+               first: int, stop: int) -> tuple:
+    """Samples [first, stop) of one `shell_scan` shell, drawn chunk by chunk
+    from default_rng(seed) advanced past the 2 N^2 uniforms (one PCG64 step
+    each) of every earlier sample.
+
+    Returns their tally (see _merge): the minimum is inf and its state None
+    when no sample was accepted.
     """
     rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(first * 2 * total_dim**2)
     chunk = shell_chunk(total_dim)
-    accepted = 0
-    ppt_count = 0
-    min_pt = np.inf
-    worst = None
-    for start in range(0, samples, chunk):
-        states = shell_batch(rng, total_dim, radius, min(chunk, samples - start))
-        if not len(states):
-            continue
-        floors = min_pt_eigenvalues(states, split)
-        accepted += len(states)
-        ppt_count += int(np.count_nonzero(floors >= -PPT_TOL))
-        lowest = int(np.argmin(floors))
-        if floors[lowest] < min_pt:
-            min_pt = float(floors[lowest])
-            worst = states[lowest].copy()
-    row = ShellRow(
-        radius=radius,
-        samples=samples,
-        accepted=accepted,
-        ppt_count=ppt_count,
-        ppt_fraction=(ppt_count / accepted) if accepted else 0.0,
-        min_pt_eig=min_pt if accepted else float("nan"),
-    )
-    return row, worst
+    tally = (0, 0, np.inf, None)
+    for start in range(first, stop, chunk):
+        states = shell_batch(rng, total_dim, radius, min(chunk, stop - start))
+        if len(states):
+            floors = min_pt_eigenvalues(states, split)
+            lowest = int(np.argmin(floors))
+            tally = _merge(tally, (len(states), int(np.count_nonzero(floors >= -PPT_TOL)),
+                                   float(floors[lowest]), states[lowest].copy()))
+    return tally
 
 
 def _usable_cpus() -> int:
@@ -201,74 +197,16 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _fork_map(fn: Callable, jobs: list[tuple]) -> list:
-    """[fn(*job) for job in jobs], dealt round-robin to forked processes.
-
-    With k = min(len(jobs), usable CPUs) workers, this process runs
-    jobs[0::k] and forked child j runs jobs[j::k], sending its results (or
-    its exception) back pickled over a pipe.  A child's exception is raised
-    here with its type and message.  Every child is reaped before this
-    returns or raises.  Without fork, with one worker, or when other threads
-    run (a fork copies only the calling thread), every job runs here.
-    """
-    k = min(len(jobs), _usable_cpus())
-    if k < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
-        return [fn(*job) for job in jobs]
-    children = []  # [pid, read end or None once read]
-    try:
-        for j in range(1, k):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                # The child leaves by os._exit alone, so it never returns into
-                # the caller's stack or flushes buffers it shares with it.
-                try:
-                    os.close(read_end)
-                    try:
-                        data = pickle.dumps((True, [fn(*job) for job in jobs[j::k]]))
-                    except Exception as exc:
-                        data = pickle.dumps((False, exc))
-                    with os.fdopen(write_end, "wb") as pipe:
-                        pipe.write(data)
-                finally:
-                    os._exit(0)
-            os.close(write_end)
-            children.append([pid, read_end])
-        results = [None] * len(jobs)
-        results[0::k] = [fn(*job) for job in jobs[0::k]]
-        for j, child in enumerate(children, start=1):
-            with os.fdopen(child[1], "rb") as pipe:
-                child[1] = None
-                data = pipe.read()
-            if not data:
-                raise ChildProcessError(f"worker process {child[0]} ended without a result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results[j::k] = value
-        return results
-    finally:
-        # A child whose result is not read runs its jobs to the end; its
-        # write to the closed pipe then fails and it exits.
-        for pid, read_end in children:
-            if read_end is not None:
-                os.close(read_end)
-            os.waitpid(pid, 0)
-
-
 def shell_scan(total_dim: int, split: BipartiteSplit, radii, samples_per_shell: int = DEFAULT_SAMPLES_PER_SHELL,
                base_seed: int = 0, capture_worst: bool = False) -> ShellReport:
     """Sample each shell and record acceptance and PPT statistics.
 
-    Shell i draws from default_rng(base_seed + i) alone, so the shells run
-    in forked processes when several CPUs are usable (`_fork_map`) and the
-    report is the same byte for byte.  Unreachable shells (every attempt
-    rejected) surface as accepted = 0 rather than an error.
+    Shell i draws from default_rng(base_seed + i) alone.  Each shell is cut
+    at chunk boundaries into k = min(usable CPUs, chunks) contiguous parts,
+    part j of every shell runs in helper j (`pool_map`; part 0 here), and
+    the parts merge in sample order, so the report is the same byte for byte
+    for any k.  Unreachable shells (every attempt rejected) surface as
+    accepted = 0 rather than an error.
     """
     split.check_dim(total_dim)
     radii = [float(r) for r in radii]
@@ -284,19 +222,30 @@ def shell_scan(total_dim: int, split: BipartiteSplit, radii, samples_per_shell: 
     if base_seed < 0:
         raise ValueError(f"seed must be >= 0, got {base_seed}")
 
-    shells = _fork_map(_scan_shell, [(total_dim, split, radius, samples_per_shell, base_seed + index)
-                                     for index, radius in enumerate(radii)])
+    samples, chunk = samples_per_shell, shell_chunk(total_dim)
+    chunks = -(-samples // chunk)
+    k = min(_usable_cpus(), chunks)
+    cuts = [min(j * chunks // k * chunk, samples) for j in range(k + 1)]
+    parts = pool_map(_scan_part, [[(total_dim, split, radius, base_seed + index, first, stop)
+                                   for index, radius in enumerate(radii)]
+                                  for first, stop in zip(cuts, cuts[1:])])
+    rows = []
     worst_matrix, worst_radius, worst_min_pt = None, None, np.inf
-    for row, worst in shells:
+    for index, radius in enumerate(radii):
+        accepted, ppt_count, min_pt, worst = functools.reduce(
+            _merge, [part[index] for part in parts])
+        rows.append(ShellRow(radius, samples, accepted, ppt_count,
+                             (ppt_count / accepted) if accepted else 0.0,
+                             min_pt if accepted else float("nan")))
         # Strict: a tie keeps the earlier shell's state.
-        if capture_worst and worst is not None and row.min_pt_eig < worst_min_pt:
-            worst_matrix, worst_radius, worst_min_pt = worst, row.radius, row.min_pt_eig
+        if capture_worst and worst is not None and min_pt < worst_min_pt:
+            worst_matrix, worst_radius, worst_min_pt = worst, radius, min_pt
     worst_state = None if worst_matrix is None else DensityMatrix(dim=total_dim, matrix=worst_matrix)
     return ShellReport(
         total_dim=total_dim,
         split=split,
-        rows=tuple(row for row, _ in shells),
-        samples_per_shell=samples_per_shell,
+        rows=tuple(rows),
+        samples_per_shell=samples,
         base_seed=base_seed,
         generator=GENERATOR_ID,
         worst_state=worst_state,

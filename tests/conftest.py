@@ -123,3 +123,19 @@ def reduced_a_eigenvalues(amplitudes, m, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def fresh_helpers():
+    """Close the shell-scan helper pool before and after the test.
+
+    Helpers run the code as loaded when they were forked.  A test that
+    patches code they run closes the pool again after patching, so its
+    helpers are forked under the patch, and this fixture makes sure none of
+    them outlives the test.
+    """
+    from pptgeo import workers
+
+    workers._POOL.close()
+    yield
+    workers._POOL.close()

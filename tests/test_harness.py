@@ -1,7 +1,13 @@
+import functools
 import json
 import math
 import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pptgeo import harness, serialize
+from pptgeo import cli, harness, serialize, states, workers
 from pptgeo.bipartite import BipartiteSplit, pt_spectrum_analytic, schmidt
 from pptgeo.harness import (
     VERDICT_CONSISTENT,
@@ -158,7 +164,7 @@ def test_shell_scan_rejects_empty_radii_and_negative_seed():
         shell_scan(4, split, [0.1, 0.2], samples_per_shell=10, base_seed=-1)
 
 
-# --- shells in forked workers -------------------------------------------------
+# --- shells split across helper processes ----------------------------------
 
 def _report_fields(report):
     worst = None if report.worst_state is None else report.worst_state.matrix.tobytes()
@@ -181,6 +187,48 @@ def forks(monkeypatch):
     return count
 
 
+def test_advanced_stream_matches_rows_of_one_draw():
+    # A part starting at sample `first` advances the generator by 2 N^2
+    # steps per earlier sample: one PCG64 step per float64 uniform.
+    for dim in (4, 6, 9, 16):
+        full = np.random.default_rng(11).random((60, 2, dim * dim))
+        for first, stop in ((0, 60), (1, 60), (17, 33), (59, 60)):
+            rng = np.random.default_rng(11)
+            rng.bit_generator.advance(first * 2 * dim * dim)
+            part = rng.random((stop - first, 2, dim * dim))
+            assert part.tobytes() == full[first:stop].tobytes()
+
+
+def _landscape_radii(total):
+    """Inside the spectral floor, just inside and outside r_hs(N), halfway
+    from r_hs to the outer radius (the screen drops whole chunks) and at
+    0.99 of the outer radius, which no sample reaches."""
+    typical, outer = states._typical_hs_radius(total), math.sqrt((total - 1) / total)
+    return (0.9 / math.sqrt(total * (total - 1)), 0.95 * typical, 1.05 * typical,
+            (typical + outer) / 2, 0.99 * outer)
+
+
+@pytest.mark.parametrize("factors", [(2, 2), (2, 3), (3, 3), (4, 4)])
+def test_split_scan_matches_in_process_scan(monkeypatch, fresh_helpers, factors):
+    split = BipartiteSplit(*factors)
+    chunk = shell_chunk(split.dim)
+    radii = _landscape_radii(split.dim)
+    for samples in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+        for capture in (False, True):
+            kwargs = dict(samples_per_shell=samples, base_seed=samples, capture_worst=capture)
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+            expected = _report_fields(shell_scan(split.dim, split, radii, **kwargs))
+            assert (expected[4] is not None) == capture
+            for cpus in (2, 3):
+                monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+                assert _report_fields(shell_scan(split.dim, split, radii, **kwargs)) == expected
+    report = shell_scan(split.dim, split, radii, samples_per_shell=3 * chunk + 7)
+    assert report.rows[0].ppt_count == report.rows[0].samples
+    assert report.rows[-1].accepted == 0
+    # Three CPUs, four chunks: two helpers, forked once for the whole test.
+    assert len(workers._POOL.helpers) == 2
+
+
 # N = 9 stacks 50 samples a chunk, N = 4 stacks 256.  The radii run past
 # r_hs(N), where the screen drops rows, and at N = 4 to a shell that no
 # sample reaches.
@@ -190,86 +238,244 @@ PARITY_CASES = [((3, 3), (0.05, 0.15, 0.3, 0.45, 0.8), 130),
 
 
 @pytest.mark.parametrize("factors, radii, samples", PARITY_CASES)
-def test_forked_scan_matches_in_process_scan(monkeypatch, forks, factors, radii, samples):
+def test_forked_scan_matches_in_process_scan(monkeypatch, fresh_helpers, forks, factors, radii,
+                                             samples):
     split = BipartiteSplit(*factors)
+    chunks = -(-samples // shell_chunk(split.dim))
     assert samples % shell_chunk(split.dim) != 0
     for count in range(1, len(radii) + 1):
         for capture in (False, True):
             args = (split.dim, split, radii[:count])
             kwargs = dict(samples_per_shell=samples, base_seed=count, capture_worst=capture)
             monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-            before = forks[0]
             expected = _report_fields(shell_scan(*args, **kwargs))
-            assert forks[0] == before
             assert (expected[4] is not None) == capture
-            for workers in (2, 3):
-                monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
-                before = forks[0]
+            for cpus in (2, 3):
+                monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
                 assert _report_fields(shell_scan(*args, **kwargs)) == expected
-                assert forks[0] - before == min(workers, count) - 1
+    # Helpers persist: one per part beyond the first, forked once.
+    assert forks[0] == min(3, chunks) - 1
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_tied_shell_minima_keep_the_earlier_shell(monkeypatch, workers):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_tied_shell_minima_keep_the_earlier_shell(monkeypatch, fresh_helpers, cpus):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
 
-    def tied(total_dim, split, radius, samples, seed):
-        row = harness.ShellRow(radius, samples, samples, 0, 0.0, -0.1)
-        return row, np.eye(total_dim, dtype=np.complex128) / total_dim
+    @functools.wraps(harness._scan_part)  # pickles by name, so helpers run it too
+    def tied(total_dim, split, radius, seed, first, stop):
+        # Every shell ties, and so do all parts after the first; the state
+        # tells which shell and part it came from.
+        diagonal = np.array([1.0 + first + 1000 * seed, 1.0, 1.0, 1.0])
+        state = np.diag(diagonal / diagonal.sum()).astype(np.complex128)
+        return stop - first, 0, -0.05 if first == 0 else -0.1, state
 
-    monkeypatch.setattr(harness, "_scan_shell", tied)
-    report = shell_scan(4, BipartiteSplit(2, 2), [0.1, 0.2, 0.3], samples_per_shell=5,
-                        capture_worst=True)
+    monkeypatch.setattr(harness, "_scan_part", tied)
+    workers._POOL.close()  # helpers run the code as loaded when forked
+    # 600 samples are three chunks at N = 4: parts start at 0, 256 and 512.
+    report = shell_scan(4, BipartiteSplit(2, 2), [0.1, 0.2, 0.3], samples_per_shell=600,
+                        base_seed=0, capture_worst=True)
+    first = 0 if cpus == 1 else 256
+    diagonal = np.array([1.0 + first, 1.0, 1.0, 1.0])
     assert report.worst_radius == 0.1
-    assert report.worst_min_pt == -0.1
+    assert report.worst_min_pt == (-0.05 if cpus == 1 else -0.1)
+    assert report.worst_state.matrix.tobytes() == np.diag(diagonal / diagonal.sum()).astype(
+        np.complex128).tobytes()
+    assert [row.accepted for row in report.rows] == [600] * 3
+    assert len(workers._POOL.helpers) == cpus - 1
 
 
-def _fail_in(monkeypatch, where, failing_seed):
-    """Make the shell with seed `failing_seed` raise in the parent or a child."""
-    parent = os.getpid()
-    scan = harness._scan_shell
+def _fail_in(monkeypatch, where, failing_seed, make=None):
+    """Make the shell with seed `failing_seed` raise in the caller's part or
+    in a helper's (`make()`, or a ShellUnreachable naming the shell)."""
+    caller = os.getpid()
+    scan = harness._scan_part
 
-    def scan_or_fail(total_dim, split, radius, samples, seed):
-        if seed == failing_seed and (os.getpid() == parent) == (where == "parent"):
+    @functools.wraps(scan)  # pickles by name, so helpers forked from now on run it
+    def scan_or_fail(total_dim, split, radius, seed, first, stop):
+        if seed == failing_seed and (os.getpid() == caller) == (where == "parent"):
+            if make is not None:
+                raise make()
             raise ShellUnreachable(f"no PSD state found on shell r={radius} (seed {seed})")
-        return scan(total_dim, split, radius, samples, seed)
+        return scan(total_dim, split, radius, seed, first, stop)
 
-    monkeypatch.setattr(harness, "_scan_shell", scan_or_fail)
+    monkeypatch.setattr(harness, "_scan_part", scan_or_fail)
+    workers._POOL.close()  # helpers run the code as loaded when forked
 
 
-@pytest.mark.parametrize("workers, where, failing_seed", [
+# 150 samples are three chunks at N = 9, so with 3 CPUs each has a part of every shell.
+ERROR_SCAN = (9, BipartiteSplit(3, 3), [0.1, 0.2, 0.3, 0.4, 0.5])
+
+
+@pytest.mark.parametrize("cpus, where, failing_seed", [
     (2, "child", 1), (3, "child", 2), (3, "child", 1), (2, "parent", 0), (3, "parent", 3),
 ])
-def test_worker_error_is_raised_and_every_child_reaped(monkeypatch, forks, workers, where,
-                                                       failing_seed):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
+def test_worker_error_is_raised_and_every_child_reaped(monkeypatch, fresh_helpers, forks, cpus,
+                                                       where, failing_seed):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     _fail_in(monkeypatch, where, failing_seed)
-    radii = [0.1, 0.2, 0.3, 0.4, 0.5]
+    radii = ERROR_SCAN[2]
     with pytest.raises(ShellUnreachable) as info:
-        shell_scan(9, BipartiteSplit(3, 3), radii, samples_per_shell=60)
+        shell_scan(*ERROR_SCAN, samples_per_shell=150)
     assert str(info.value) == (f"no PSD state found on shell r={radii[failing_seed]} "
                                f"(seed {failing_seed})")
-    assert forks[0] == workers - 1
+    assert forks[0] == cpus - 1
+    # No reply of the failed scan is left to be read: the next scan (seeds
+    # 10-14, none failing) matches the same scan in this process alone.
+    kwargs = dict(samples_per_shell=150, base_seed=10, capture_worst=True)
+    got = _report_fields(shell_scan(*ERROR_SCAN, **kwargs))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert got == _report_fields(shell_scan(*ERROR_SCAN, **kwargs))
+    workers._POOL.close()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_scan_stays_in_process_while_other_threads_run(monkeypatch, forks):
+class _TwoArgError(Exception):
+    def __init__(self, first, second):
+        super().__init__(f"{first} and {second}")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ValueError("bad", lambda: 0), r"^ValueError: \('bad', <function "),
+    (lambda: _TwoArgError("a", "b"), r"^_TwoArgError: a and b$"),
+])
+def test_errors_that_cannot_cross_the_pipe_name_their_type(monkeypatch, capsys, fresh_helpers,
+                                                           make, message):
+    # The first cannot be pickled, the second cannot be rebuilt from its args.
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    split = BipartiteSplit(3, 3)
-    expected = shells_to_csv(shell_scan(9, split, [0.1, 0.3], samples_per_shell=60))
-    assert forks[0] == 1
+    _fail_in(monkeypatch, "child", 0, make)
+    with pytest.raises(ChildProcessError, match=message):
+        shell_scan(*ERROR_SCAN, samples_per_shell=150)
+    assert cli.main(["shell-scan", "--N", "9", "--split", "3x3", "--radii", "0.1",
+                     "--samples", "150"]) == 2
+    assert re.match(message, capsys.readouterr().err.removeprefix("error: "))
+    kwargs = dict(samples_per_shell=150, base_seed=1)
+    got = _report_fields(shell_scan(*ERROR_SCAN, **kwargs))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert got == _report_fields(shell_scan(*ERROR_SCAN, **kwargs))
+
+
+def test_killed_helper_raises_then_respawns(monkeypatch, fresh_helpers):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    expected = _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150))
+    [(pid, _, _)] = workers._POOL.helpers
+    os.kill(pid, signal.SIGKILL)
+    with pytest.raises(ChildProcessError, match=f"helper process {pid} ended without a result"):
+        shell_scan(*ERROR_SCAN, samples_per_shell=150)
+    assert workers._POOL.helpers == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)  # reaped
+    assert _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150)) == expected
+    [(respawned, _, _)] = workers._POOL.helpers
+    assert respawned != pid
+
+
+def test_threads_scanning_at_once_get_correct_bytes(monkeypatch, fresh_helpers):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    seeds = (1, 2, 3)  # more threads than helpers and callers can take at once
+    # Forks the helper while this is the only thread.
+    expected = {seed: _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150,
+                                                base_seed=seed)) for seed in seeds}
+    barrier = threading.Barrier(len(seeds))
+    got = {seed: [] for seed in seeds}
+
+    def scan(seed):
+        barrier.wait()
+        for _ in range(4):
+            got[seed].append(_report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150,
+                                                       base_seed=seed)))
+
+    threads = [threading.Thread(target=scan, args=(seed,)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {seed: [expected[seed]] * 4 for seed in seeds}
+    assert len(workers._POOL.helpers) == 1
+
+
+def test_scan_stays_in_process_while_other_threads_run(monkeypatch, fresh_helpers, forks):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        got = shells_to_csv(shell_scan(9, split, [0.1, 0.3], samples_per_shell=60))
+        got = _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150))
     finally:
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    assert got == expected
+    assert forks[0] == 0 and workers._POOL.helpers == []
+    assert _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150)) == got
     assert forks[0] == 1
+
+
+def test_forked_child_never_dispatches_to_parent_helpers(monkeypatch, fresh_helpers):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    expected = _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150))
+    pool = workers._POOL
+    [(helper, jobs_out, results_in)] = pool.helpers
+    pid = os.fork()
+    if pid == 0:  # leave only by os._exit, with the verdict as exit code
+        ok = False
+        try:
+            ok = (jobs_out.closed and results_in.closed
+                  and _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150)) == expected
+                  and workers._POOL is not pool
+                  and [h[0] for h in workers._POOL.helpers] not in ([], [helper]))
+            workers._POOL.close()
+        finally:
+            os._exit(0 if ok else 1)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    # The parent's helper is still in step with it.
+    assert _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150)) == expected
+    assert workers._POOL is pool and pool.helpers[0][0] == helper
+
+
+DROP_AND_EXIT = """
+import gc, os, sys
+from pptgeo import harness, workers
+from pptgeo.bipartite import BipartiteSplit
+def scan():
+    harness._usable_cpus = lambda: 3
+    harness.shell_scan(9, BipartiteSplit(3, 3), [0.2], samples_per_shell=150)
+    return [h[0] for h in workers._POOL.helpers]
+first = scan()
+for name in [n for n in sys.modules if n == "pptgeo" or n.startswith("pptgeo.")]:
+    del sys.modules[name]
+del harness, workers, BipartiteSplit
+gc.collect()
+for pid in first:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+        print("not reaped", pid)
+    except ChildProcessError:
+        pass
+from pptgeo import harness, workers
+from pptgeo.bipartite import BipartiteSplit
+print(*scan())
+"""
+
+
+def test_helpers_are_reaped_when_the_module_is_dropped_and_at_exit():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                           "-c", DROP_AND_EXIT], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        # Neither running nor a zombie: reaped before the interpreter exited.
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def _worst_pt_floor(total_dim, radius):

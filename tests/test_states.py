@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pptgeo import states
+from pptgeo import harness, states, workers
 from pptgeo.bipartite import BipartiteSplit, is_ppt, min_pt_eigenvalues
 from pptgeo.bounds import ppt_radius
 from pptgeo.harness import claim_check
@@ -383,13 +383,19 @@ def test_claimed_ppt_radius_lies_inside_typical_hs_distance(d):
     assert ppt_radius(d * d) < states._typical_hs_radius(d * d)
 
 
-def test_claim_check_runs_without_the_screen(monkeypatch):
+def test_claim_check_runs_without_the_screen(monkeypatch, fresh_helpers):
     def no_screen(*args, **kwargs):
         raise AssertionError("screen ran on a claim-check shell")
 
+    # 120 samples are three chunks at N = 9, so a helper process scans part
+    # of each shell; it runs the code as loaded when forked, so the pool is
+    # closed after the patch.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(states, "_screen_rejects", no_screen)
-    report = claim_check(3, samples=50)
-    assert all(row.samples == 50 for row in report.shells.rows)
+    workers._POOL.close()
+    report = claim_check(3, samples=120)
+    assert all(row.samples == 120 for row in report.shells.rows)
+    assert len(workers._POOL.helpers) == 1
 
 
 @pytest.mark.parametrize("count", [1, 7, 50])
