@@ -21,7 +21,6 @@ from .bounds import (
     ball_radius,
     bounds_table,
     classify,
-    cone_boundary_distance,
     ppt_radius,
     separable_radius,
     werner_distance,
@@ -43,14 +42,9 @@ from .states import (
     DensityMatrix,
     NotNormalized,
     PureState,
-    ShellUnreachable,
     WernerParams,
-    convex_mix,
     max_entangled,
     maximally_mixed,
-    pure_density,
-    sample_hs_random,
-    sample_on_shell,
     werner,
 )
 
@@ -66,7 +60,6 @@ __all__ = [
     "PureState",
     "SchmidtDecomposition",
     "ShellReport",
-    "ShellUnreachable",
     "SweepReport",
     "WernerParams",
     "WitnessResult",
@@ -76,8 +69,6 @@ __all__ = [
     "bounds_table",
     "claim_check",
     "classify",
-    "cone_boundary_distance",
-    "convex_mix",
     "find_schmidt2_witness",
     "hs_distance",
     "is_ppt",
@@ -86,9 +77,6 @@ __all__ = [
     "partial_transpose",
     "ppt_radius",
     "pt_spectrum_analytic",
-    "pure_density",
-    "sample_hs_random",
-    "sample_on_shell",
     "schmidt",
     "separable_radius",
     "shell_scan",

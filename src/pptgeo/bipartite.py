@@ -71,56 +71,34 @@ def partial_transpose(rho, split: BipartiteSplit) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
-    """Bi-orthogonal expansion psi = sum_i alpha_i e_i (x) f_i.
+    """Schmidt coefficients of psi = sum_i alpha_i e_i (x) f_i.
 
     coefficients: all min(m, n) Schmidt coefficients, nonincreasing;
-    rank counts those above RANK_TOL; left/right hold the e_i / f_i as
-    orthonormal columns.
+    rank counts those above RANK_TOL.
     """
 
     coefficients: np.ndarray
     rank: int
-    left: np.ndarray
-    right: np.ndarray
 
 
 def schmidt(psi: PureState, split: BipartiteSplit) -> SchmidtDecomposition:
-    """Schmidt decomposition via the spectral route.
+    """Schmidt coefficients and rank via the spectral route.
 
-    Eigendecomposing C C† (m x m, C the reshaped amplitude matrix) gives the
-    squared coefficients and left basis; right vectors follow from
-    f_i = C† e_i / alpha_i for alpha_i above RANK_TOL, and the degenerate
-    remainder is completed orthonormally.  Bases are not unique under
-    coefficient degeneracy, so only coefficient multisets and reconstruction
-    residuals are contractual.
+    The eigenvalues of C C† (m x m, C the reshaped amplitude matrix) are the
+    squared coefficients.
     """
     split.check_dim(psi.dim)
     m, n = split.m, split.n
-    k = min(m, n)
     c = psi.amplitudes.reshape(m, n)
 
-    # C C† is not Hermitian to the bit; symmetrizing it pins the eigenvectors.
+    # C C† is not Hermitian to the bit, so its symmetrized copy is solved.
+    # eigh rather than eigvalsh: reports print the coefficients' bits.
     gram = c @ c.conj().T
-    w, v = np.linalg.eigh((gram + gram.conj().T) / 2)
-    order = np.argsort(w)[::-1][:k]
-    weights = np.clip(w[order], 0.0, None)
+    w = np.linalg.eigh((gram + gram.conj().T) / 2)[0]  # ascending
+    weights = np.clip(w[::-1][:min(m, n)], 0.0, None)
     weights[weights < EIG_NOISE_FLOOR] = 0.0
     alpha = np.sqrt(weights)
-    left = v[:, order]
-
-    rank = int(np.sum(alpha > RANK_TOL))
-    right = np.zeros((n, k), dtype=np.complex128)
-    for i in range(rank):
-        f = c.conj().T @ left[:, i] / alpha[i]
-        right[:, i] = f / np.linalg.norm(f)
-    if rank < k:
-        # Deterministic orthonormal completion of the right set: eigenvectors
-        # of the projector onto the orthocomplement of span(f_1..f_r).
-        proj = np.eye(n, dtype=np.complex128) - right[:, :rank] @ right[:, :rank].conj().T
-        _, comp = np.linalg.eigh((proj + proj.conj().T) / 2)
-        right[:, rank:] = comp[:, n - (k - rank):]
-
-    return SchmidtDecomposition(coefficients=alpha, rank=rank, left=left, right=right)
+    return SchmidtDecomposition(coefficients=alpha, rank=int(np.sum(alpha > RANK_TOL)))
 
 
 def pt_spectrum_analytic(sd: SchmidtDecomposition, split: BipartiteSplit) -> np.ndarray:
@@ -151,10 +129,10 @@ class PptCheck(NamedTuple):
     min_pt_eigenvalue: float
 
 
-def is_ppt(rho: DensityMatrix, split: BipartiteSplit, tol: float = PPT_TOL) -> PptCheck:
+def is_ppt(rho: DensityMatrix, split: BipartiteSplit) -> PptCheck:
     """PPT test: positive iff the partial transpose stays in the PSD cone."""
     lo = float(min_pt_eigenvalues(rho.matrix[None], split)[0])
-    return PptCheck(ppt=lo >= -tol, min_pt_eigenvalue=lo)
+    return PptCheck(ppt=lo >= -PPT_TOL, min_pt_eigenvalue=lo)
 
 
 def min_pt_eigenvalues(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:

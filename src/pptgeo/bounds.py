@@ -28,10 +28,6 @@ class UnsupportedDim(ValueError):
     """Dimension outside the domain of the requested radius formula."""
 
 
-class InvalidEigenvalues(ValueError):
-    """Eigenvalue arguments must satisfy 0 < lambda_min <= lambda_max."""
-
-
 def ball_radius(dim: int) -> float:
     """Radius sqrt((N-1)/N) of the ball of unit-trace PSD matrices around I/N."""
     if dim < 2:
@@ -61,21 +57,6 @@ def ppt_radius(dim: int) -> float:
     if dim == 4:
         return 1.0 / math.sqrt(12.0)
     return 1.0 / math.sqrt(math.sqrt(dim * (dim - 1)) + 1.0)
-
-
-def cone_boundary_distance(lambda_min: float, lambda_max: float, dim: int) -> float:
-    """Distance sqrt(lambda_min/lambda_max)/sqrt(N) from I/N to the PSD-cone boundary.
-
-    Evaluates the cone-slope formula verbatim for a given extreme eigenvalue
-    pair of the boundary quadric.
-    """
-    if not 0.0 < lambda_min <= lambda_max:
-        raise InvalidEigenvalues(
-            f"need 0 < lambda_min <= lambda_max, got {lambda_min}, {lambda_max}"
-        )
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    return math.sqrt(lambda_min / lambda_max) / math.sqrt(dim)
 
 
 def werner_pm(dim: int) -> float:
@@ -156,8 +137,7 @@ class ZoneClassification:
     contradiction_flag: bool
 
 
-def classify(rho: DensityMatrix, split: BipartiteSplit, table: BoundsTable,
-             tol: float = 1e-9) -> ZoneClassification:
+def classify(rho: DensityMatrix, split: BipartiteSplit, table: BoundsTable) -> ZoneClassification:
     """Place a state in its distance zone and compare with the PPT ground truth.
 
     Zone boundaries are half-open with ties resolving inward: distance <=
@@ -176,7 +156,7 @@ def classify(rho: DensityMatrix, split: BipartiteSplit, table: BoundsTable,
         zone = Zone.PPT_BALL_CLAIM
     else:
         zone = Zone.OUTSIDE_BALLS
-    check = is_ppt(rho, split, tol=tol)
+    check = is_ppt(rho, split)
     return ZoneClassification(
         distance=dist,
         zone=zone,

@@ -18,7 +18,7 @@ from . import harness, serialize
 from .bipartite import BipartiteSplit, pt_spectrum_analytic, pure_pt_spectra, schmidt
 from .bounds import bounds_table, classify
 from .distill import DEFAULT_RESTARTS, find_schmidt2_witness, witness_expectation
-from .states import DensityMatrix, PureState, ShellUnreachable
+from .states import DensityMatrix, PureState
 
 
 def _parse_split(text: str) -> BipartiteSplit:
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _emit(args.run(args), args.out)
-    except (ValueError, OSError, KeyError, ShellUnreachable) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         # ValueError also covers numpy's LinAlgError from a failed eigen-solve.
         print(f"error: {exc}", file=sys.stderr)
         return 2

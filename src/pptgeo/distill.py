@@ -15,7 +15,7 @@ its own once a step lowers its value by a relative STOP_RTOL or less.
 
 The result is two-sided.  `found` certifies a witness (re-checkable from
 the returned vector).  A miss is certified as well when the partial
-transpose has no eigenvalue below -witness_tol: every Rayleigh quotient of
+transpose has no eigenvalue below -WITNESS_TOL: every Rayleigh quotient of
 rho^PT is at least its smallest eigenvalue, so no vector of any Schmidt
 rank is a witness, and such inputs skip the search.  Only a miss of the
 search on an NPT input is inconclusive, never a proof of
@@ -48,7 +48,7 @@ class WitnessResult:
 
     value: when no search ran (restarts_used == 0) it is the smallest
     eigenvalue of rho^PT, a lower bound on every Schmidt-rank-2 quotient.
-    On a certified miss it is >= -witness_tol; on a 2xN split, where every
+    On a certified miss it is >= -WITNESS_TOL; on a 2xN split, where every
     vector has Schmidt rank <= 2, it is the exact minimum.  After a search
     it is the best <psi| rho^PT |psi> seen over all restarts (a Rayleigh
     quotient, so never below that eigenvalue).
@@ -132,12 +132,11 @@ def _alternating_search(sigma: np.ndarray, m: int, n: int, a: np.ndarray,
 def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
                           restarts: int = DEFAULT_RESTARTS,
                           iters: int = DEFAULT_ITERS,
-                          seed: int = 0,
-                          witness_tol: float = WITNESS_TOL) -> WitnessResult:
-    """Search for a Schmidt-rank-<=2 vector with <psi| rho^PT |psi> < -witness_tol.
+                          seed: int = 0) -> WitnessResult:
+    """Search for a Schmidt-rank-<=2 vector with <psi| rho^PT |psi> < -WITNESS_TOL.
 
     The partial transpose is eigen-solved once first.  When its
-    smallest eigenvalue is at least -witness_tol no witness exists, and the
+    smallest eigenvalue is at least -WITNESS_TOL no witness exists, and the
     result is a certified miss with no restarts run.  When either factor is
     2-dimensional every vector has Schmidt rank <= 2, so the PT ground state
     from that same solve is the witness and the search is exact.  Otherwise
@@ -151,8 +150,6 @@ def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
-    if not (np.isfinite(witness_tol) and witness_tol >= 0):
-        raise ValueError(f"witness_tol must be finite and >= 0, got {witness_tol!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     split.check_dim(rho.dim)
@@ -165,7 +162,7 @@ def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
     else:
         w = np.linalg.eigvalsh(sigma)
     lowest = float(w[0])
-    if lowest >= -witness_tol:
+    if lowest >= -WITNESS_TOL:
         return WitnessResult(found=False, value=lowest, witness=None, restarts_used=0,
                              certified=True)
 
@@ -179,7 +176,7 @@ def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
         best_value, best_vec = float(values[best]), vecs[best]
         used = restarts
 
-    found = best_value < -witness_tol
+    found = best_value < -WITNESS_TOL
     witness = None
     if found:
         amp = best_vec / np.linalg.norm(best_vec)

@@ -30,7 +30,7 @@ from .bipartite import (
     pure_pt_spectra,
     schmidt,
 )
-from .bounds import BoundsTable, ball_radius, bounds_table, werner_pm
+from .bounds import BoundsTable, ball_radius, bounds_table, ppt_radius, werner_pm
 from .linalg import hs_distance
 from .states import (
     GENERATOR_ID,
@@ -49,6 +49,7 @@ VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_COUNTEREXAMPLE = "COUNTEREXAMPLE_FOUND"
 
 NEGATIVITY_TOL = 1e-9
+SPECTRUM_TOL = 1e-9
 CLAIM_SHELL_SCALES = (0.5, 0.9, 0.99, 1.0)
 DEFAULT_SAMPLES_PER_SHELL = 2000
 
@@ -56,12 +57,18 @@ DEFAULT_SAMPLES_PER_SHELL = 2000
 def bisect_decreasing(f: Callable[[float], float], lo: float, hi: float,
                       tol: float = 1e-10) -> float:
     """Root of a decreasing function by bisection; the sign bracket
-    f(lo) > 0 > f(hi) is asserted at every step."""
+    f(lo) > 0 > f(hi) is asserted at every step.
+
+    Stops once the bracket is at most `tol` wide, or once it holds no float
+    between its ends (so a `tol` of 0 or below the float spacing ends too).
+    """
     flo, fhi = f(lo), f(hi)
     if not (flo > 0.0 > fhi):
         raise ValueError(f"endpoints do not bracket a root: f({lo})={flo}, f({hi})={fhi}")
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
         fmid = f(mid)
         if fmid > 0.0:
             lo, flo = mid, fmid
@@ -92,15 +99,13 @@ class SweepReport:
     p_star: float
     paper_pm: float
     oracle_pm: float
-    bisection_tol: float
 
 
 def _werner_min_pt(d: int, split: BipartiteSplit, p: float) -> float:
     return is_ppt(werner(WernerParams(d, p)), split).min_pt_eigenvalue
 
 
-def werner_sweep(qudit_dim: int, grid_points: int = 21,
-                 bisection_tol: float = 1e-10) -> SweepReport:
+def werner_sweep(qudit_dim: int, grid_points: int = 21) -> SweepReport:
     """Sweep the Werner family of a d (x) d system over a mixing grid."""
     d = qudit_dim
     if not 2 <= d <= 8:
@@ -122,15 +127,13 @@ def werner_sweep(qudit_dim: int, grid_points: int = 21,
             ppt=check.ppt,
         ))
 
-    p_star = bisect_decreasing(lambda p: _werner_min_pt(d, split, p), 0.0, 1.0,
-                               tol=bisection_tol)
+    p_star = bisect_decreasing(lambda p: _werner_min_pt(d, split, p), 0.0, 1.0)
     return SweepReport(
         qudit_dim=d,
         rows=tuple(rows),
         p_star=p_star,
         paper_pm=werner_pm(total),
         oracle_pm=1.0 / (d + 1),
-        bisection_tol=bisection_tol,
     )
 
 
@@ -157,7 +160,6 @@ class ShellReport:
     rows: tuple[ShellRow, ...]
     samples_per_shell: int
     base_seed: int
-    generator: str
     worst_state: DensityMatrix | None = None
     worst_radius: float | None = None
     worst_min_pt: float | None = None
@@ -247,7 +249,6 @@ def shell_scan(total_dim: int, split: BipartiteSplit, radii, samples_per_shell: 
         rows=tuple(rows),
         samples_per_shell=samples,
         base_seed=base_seed,
-        generator=GENERATOR_ID,
         worst_state=worst_state,
         worst_radius=worst_radius,
         worst_min_pt=None if worst_state is None else worst_min_pt,
@@ -263,7 +264,6 @@ def sample_pure(rng: np.random.Generator, dim: int) -> PureState:
 
 class SpectrumRow(NamedTuple):
     split: str
-    trials: int
     max_deviation: float
     passed: bool
 
@@ -271,18 +271,15 @@ class SpectrumRow(NamedTuple):
 @dataclass(frozen=True)
 class SpectrumCheckReport:
     rows: tuple[SpectrumRow, ...]
-    seed: int
-    tolerance: float
     passed: bool
 
 
-def spectrum_check(splits, trials: int, seed: int,
-                   tolerance: float = 1e-9) -> SpectrumCheckReport:
+def spectrum_check(splits, trials: int, seed: int) -> SpectrumCheckReport:
     """Compare closed-form and numeric PT spectra of random pure states.
 
     For each split and trial, the sorted analytic spectrum (including zero
     multiplicities) must match the eigensolver output of the explicit
-    partial transpose to `tolerance` max-abs.  Each split draws all its
+    partial transpose to SPECTRUM_TOL max-abs.  Each split draws all its
     trials' states first, then solves their partial transposes as one stack.
     """
     if trials < 1:
@@ -296,14 +293,11 @@ def spectrum_check(splits, trials: int, seed: int,
         worst = float(np.max(np.abs(analytic - numeric)))
         rows.append(SpectrumRow(
             split=f"{split.m}x{split.n}",
-            trials=trials,
             max_deviation=worst,
-            passed=worst <= tolerance,
+            passed=worst <= SPECTRUM_TOL,
         ))
     return SpectrumCheckReport(
         rows=tuple(rows),
-        seed=seed,
-        tolerance=tolerance,
         passed=all(r.passed for r in rows),
     )
 
@@ -366,22 +360,21 @@ def claim_check(qudit_dim: int, samples: int = DEFAULT_SAMPLES_PER_SHELL,
                         base_seed=base_seed, capture_worst=True)
     spectrum = spectrum_check([split], trials=50, seed=base_seed)
 
-    probe = None
+    probe = probe_state = None
     if sweep.p_star < sweep.paper_pm:
         p_mid = (sweep.p_star + sweep.paper_pm) / 2
-        state = werner(WernerParams(d, p_mid))
-        check = is_ppt(state, split)
+        probe_state = werner(WernerParams(d, p_mid))
         probe = WernerProbe(
             p=p_mid,
-            distance=hs_distance(state.matrix, maximally_mixed(total).matrix),
-            min_pt_eig=check.min_pt_eigenvalue,
+            distance=hs_distance(probe_state.matrix, maximally_mixed(total).matrix),
+            min_pt_eig=is_ppt(probe_state, split).min_pt_eigenvalue,
         )
 
     counterexample = None
     if probe is not None and probe.min_pt_eig < -NEGATIVITY_TOL and probe.distance <= table.ppt_radius:
         counterexample = Counterexample(
             source="werner-probe",
-            state=werner(WernerParams(d, probe.p)),
+            state=probe_state,
             split=split,
             distance=probe.distance,
             min_pt_eig=probe.min_pt_eig,
@@ -429,7 +422,7 @@ def sweep_to_csv(report: SweepReport) -> str:
 def shells_to_csv(report: ShellReport) -> str:
     buf = io.StringIO()
     buf.write(f"# tool_version={serialize.TOOL_VERSION}\n")
-    buf.write(f"# generator={report.generator}\n")
+    buf.write(f"# generator={GENERATOR_ID}\n")
     buf.write(f"# seed={report.base_seed}\n")
     buf.write(f"# N={report.total_dim}\n")
     buf.write(f"# split={report.split.m}x{report.split.n}\n")
@@ -492,8 +485,9 @@ def verify_claim_report(obj: dict) -> dict:
     """Re-validate a loaded claim-check report from its serialized state alone.
 
     A COUNTEREXAMPLE_FOUND verdict must carry a state that, recomputed from
-    the embedded matrix, sits within the claimed radius and has a PT
-    eigenvalue below -1e-9.  Raises ValueError otherwise.
+    the embedded matrix, sits within the claimed radius `ppt_radius(N)` and
+    has a PT eigenvalue below -1e-9; the radius the report records must be
+    that one.  Raises ValueError otherwise.
     """
     if obj["verdict"] == VERDICT_COUNTEREXAMPLE:
         ce = obj.get("counterexample")
@@ -504,13 +498,16 @@ def verify_claim_report(obj: dict) -> dict:
             raise ValueError("counterexample state lacks split metadata")
         state = DensityMatrix(dim=matrix.shape[0], matrix=matrix)
         split = BipartiteSplit(*factors)
+        claimed = ppt_radius(state.dim)
+        if obj["bounds"]["ppt_radius"] != claimed:
+            raise ValueError(
+                f"recorded PPT radius {obj['bounds']['ppt_radius']!r} is not the claimed "
+                f"radius {claimed!r} for N = {state.dim}"
+            )
         distance = hs_distance(state.matrix, maximally_mixed(state.dim).matrix)
         check = is_ppt(state, split)
-        if distance > obj["bounds"]["ppt_radius"] + 1e-12:
-            raise ValueError(
-                f"counterexample distance {distance} exceeds claimed radius "
-                f"{obj['bounds']['ppt_radius']}"
-            )
+        if distance > claimed + 1e-12:
+            raise ValueError(f"counterexample distance {distance} exceeds claimed radius {claimed}")
         if check.min_pt_eigenvalue >= -NEGATIVITY_TOL:
             raise ValueError(
                 f"counterexample PT floor {check.min_pt_eigenvalue} is not below {-NEGATIVITY_TOL}"

@@ -23,26 +23,21 @@ class NotHermitian(ValueError):
     """Matrix fails the Hermitian symmetry tolerance."""
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a square complex128 matrix with finite entries."""
+def as_hermitian(a) -> np.ndarray:
+    """Validate a square finite matrix as Hermitian to HERMITICITY_TOL
+    (max-abs) and return it symmetrized as complex128.
+
+    Symmetrizing (H + H†)/2 after the check removes the round-off
+    asymmetry of the input, so the result is Hermitian to the bit.
+    """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    return m
-
-
-def as_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate Hermiticity to `tol` (max-abs) and return the symmetrized matrix.
-
-    Symmetrizing (H + H†)/2 after the check removes the round-off
-    asymmetry of the input, so the result is Hermitian to the bit.
-    """
-    m = as_complex_matrix(a)
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > tol:
-        raise NotHermitian(f"max |H - H†| = {dev:.3e} exceeds tolerance {tol:.1e}")
+    if dev > HERMITICITY_TOL:
+        raise NotHermitian(f"max |H - H†| = {dev:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}")
     return (m + m.conj().T) / 2
 
 

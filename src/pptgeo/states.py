@@ -24,7 +24,6 @@ from .linalg import DimensionMismatch, as_hermitian
 
 GENERATOR_ID = "pcg64+box-muller"
 
-DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_PSD_TOL = 1e-9
 PURE_NORM_TOL = 1e-12
@@ -43,15 +42,9 @@ SCREEN_MARGIN = 1e-4
 # many bytes: 256 samples at N = 4, 16 at N = 16.  It bounds peak memory.
 SHELL_CHUNK_BYTES = 64 * 1024
 
-DEFAULT_MAX_REJECTS = 10_000
-
 
 class NotNormalized(ValueError):
     """Pure-state amplitudes are not unit norm."""
-
-
-class ShellUnreachable(RuntimeError):
-    """Rejection sampling failed to land a PSD matrix on the requested shell."""
 
 
 def _box_muller(u: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
@@ -73,12 +66,6 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.concatenate(_box_muller(rng.random((2, (n + 1) // 2))))[:n]
 
 
-def complex_ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n x n matrix of independent standard complex Gaussians."""
-    g = standard_normals(rng, 2 * n * n)
-    return (g[: n * n] + 1j * g[n * n :]).reshape(n, n)
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Unit-trace positive-semidefinite Hermitian matrix.
@@ -93,7 +80,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_hermitian(self.matrix, tol=DENSITY_HERM_TOL)
+        m = as_hermitian(self.matrix)
         if m.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"matrix shape {m.shape} does not match dim {self.dim}")
         tr = float(np.trace(m).real)
@@ -119,6 +106,8 @@ class PureState:
         amp = np.asarray(self.amplitudes, dtype=np.complex128)
         if amp.shape != (self.dim,):
             raise DimensionMismatch(f"amplitude shape {amp.shape} does not match dim {self.dim}")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > PURE_NORM_TOL:
             raise NotNormalized(f"norm {norm!r} is not 1 within {PURE_NORM_TOL:.1e}")
@@ -144,12 +133,6 @@ def maximally_mixed(dim: int) -> DensityMatrix:
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     return DensityMatrix(dim=dim, matrix=np.eye(dim, dtype=np.complex128) / dim)
-
-
-def pure_density(psi: PureState) -> DensityMatrix:
-    """Rank-1 projector |psi><psi|."""
-    amp = psi.amplitudes
-    return DensityMatrix(dim=psi.dim, matrix=np.outer(amp, amp.conj()))
 
 
 def max_entangled(local_dim: int) -> PureState:
@@ -178,27 +161,12 @@ def werner(params: WernerParams) -> DensityMatrix:
     return DensityMatrix(dim=d * d, matrix=p * proj + (1.0 - p) * eye)
 
 
-def convex_mix(p: float, a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Convex combination p*a + (1-p)*b."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return DensityMatrix(dim=a.dim, matrix=p * a.matrix + (1.0 - p) * b.matrix)
-
-
 def sample_hs(rng: np.random.Generator, dim: int) -> DensityMatrix:
     """One Hilbert-Schmidt random state from an existing generator stream."""
-    g = complex_ginibre(rng, dim)
+    g = standard_normals(rng, 2 * dim * dim)
+    g = (g[: dim * dim] + 1j * g[dim * dim :]).reshape(dim, dim)
     w = g @ g.conj().T
     return DensityMatrix(dim=dim, matrix=w / np.trace(w).real)
-
-
-def sample_hs_random(dim: int, seed: int) -> DensityMatrix:
-    """Seeded Hilbert-Schmidt random state rho = G G† / Tr(G G†)."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    return sample_hs(np.random.default_rng(seed), dim)
 
 
 def shell_chunk(dim: int) -> int:
@@ -383,23 +351,3 @@ def shell_attempt(rng: np.random.Generator, dim: int, radius: float) -> DensityM
     accepted = shell_batch(rng, dim, radius, 1)
     return DensityMatrix(dim=dim, matrix=accepted[0]) if len(accepted) else None
 
-
-def sample_on_shell(dim: int, radius: float, seed: int,
-                    max_rejects: int = DEFAULT_MAX_REJECTS) -> DensityMatrix:
-    """Seeded state at HS distance `radius` (to 1e-12) from I/N.
-
-    Raises ShellUnreachable after `max_rejects` failed attempts; shells near
-    the outer radius sqrt((N-1)/N) are overwhelmingly non-PSD, so failing
-    loudly beats spinning.
-    """
-    outer = np.sqrt((dim - 1) / dim)
-    if not 0.0 < radius < outer:
-        raise ValueError(f"radius must lie in (0, {outer:.6f}), got {radius}")
-    rng = np.random.default_rng(seed)
-    for _ in range(max_rejects):
-        state = shell_attempt(rng, dim, radius)
-        if state is not None:
-            return state
-    raise ShellUnreachable(
-        f"no PSD state found on shell r={radius} for N={dim} after {max_rejects} attempts"
-    )

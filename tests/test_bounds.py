@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from pptgeo.bipartite import BipartiteSplit, is_ppt
 from pptgeo.bounds import (
-    InvalidEigenvalues,
     UnsupportedDim,
     Zone,
     ball_radius,
     bounds_table,
     classify,
-    cone_boundary_distance,
     ppt_radius,
     separable_radius,
     werner_distance,
@@ -22,12 +20,10 @@ from pptgeo.bounds import (
 from pptgeo.linalg import hs_distance
 from pptgeo.states import (
     DensityMatrix,
-    PureState,
     WernerParams,
     maximally_mixed,
-    pure_density,
-    sample_hs_random,
-    sample_on_shell,
+    sample_hs,
+    shell_attempt,
     werner,
 )
 
@@ -100,38 +96,6 @@ def test_werner_distance_at_pm_equals_ppt_radius(total):
     assert abs(werner_distance(werner_pm(total), total) - ppt_radius(total)) <= 1e-12
 
 
-# --- cone boundary distance --------------------------------------------------
-
-def test_cone_distance_isotropic():
-    for n in (2, 4, 9):
-        assert cone_boundary_distance(0.3, 0.3, n) == pytest.approx(1 / math.sqrt(n), abs=1e-15)
-
-
-def test_cone_distance_qubit_pair_case():
-    assert cone_boundary_distance(0.25, 0.75, 4) == pytest.approx(1 / math.sqrt(12), abs=1e-15)
-
-
-def test_cone_distance_with_stated_substitution():
-    # Substituting lambda_min = 1/sqrt(N), lambda_max = sqrt((N-1)/N) + 1/N
-    # into sqrt(lambda_min/lambda_max)/sqrt(N) does NOT reproduce the
-    # closed-form N>4 radius; the two differ by exactly N^(1/4).  Pin both
-    # the formula's true value and that bridging identity.
-    n = 9
-    lam_min = 1 / math.sqrt(n)
-    lam_max = math.sqrt((n - 1) / n) + 1 / n
-    value = cone_boundary_distance(lam_min, lam_max, n)
-    assert value == pytest.approx(math.sqrt(lam_min / lam_max) / 3, abs=1e-15)
-    assert value == pytest.approx(0.18746243910777813, abs=1e-15)
-    assert value * n**0.25 == pytest.approx(ppt_radius(n), abs=1e-14)
-
-
-def test_cone_distance_invalid_eigenvalues():
-    with pytest.raises(InvalidEigenvalues):
-        cone_boundary_distance(0.5, 0.1, 4)
-    with pytest.raises(InvalidEigenvalues):
-        cone_boundary_distance(0.0, 0.5, 4)
-
-
 # --- bounds table ------------------------------------------------------------
 
 def test_bounds_table_qubits():
@@ -202,7 +166,7 @@ def test_classify_never_contradicts_at_n4():
     split = BipartiteSplit(2, 2)
     flagged = 0
     for seed in range(10_000):
-        result = classify(sample_hs_random(4, seed=seed), split, table)
+        result = classify(sample_hs(np.random.default_rng(seed), 4), split, table)
         flagged += int(result.contradiction_flag)
     assert flagged == 0
 
@@ -214,7 +178,7 @@ def test_ppt_guaranteed_inside_spectral_floor_radius():
     guaranteed = 1 / math.sqrt(n * (n - 1))
     split = BipartiteSplit(3, 3)
     for seed in range(200):
-        rho = sample_on_shell(n, radius=guaranteed * 0.999, seed=seed)
+        rho = shell_attempt(np.random.default_rng(seed), n, guaranteed * 0.999)
         assert is_ppt(rho, split).ppt
 
 
@@ -228,9 +192,9 @@ def test_claimed_separable_ball_at_3x3_contains_npt_states():
     table = bounds_table(3)
     amp = np.zeros(9, dtype=complex)
     amp[0] = amp[4] = 1 / np.sqrt(2)  # (|00> + |11>)/sqrt(2) embedded in 3x3
-    bell2 = pure_density(PureState(dim=9, amplitudes=amp))
+    bell2 = np.outer(amp, amp.conj())
     q = 0.21
-    rho = DensityMatrix(dim=9, matrix=q * bell2.matrix + (1 - q) * np.eye(9) / 9)
+    rho = DensityMatrix(dim=9, matrix=q * bell2 + (1 - q) * np.eye(9) / 9)
     dist = hs_distance(rho.matrix, maximally_mixed(9).matrix)
     check = is_ppt(rho, BipartiteSplit(3, 3))
     assert dist < table.separable_radius

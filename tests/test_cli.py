@@ -8,7 +8,7 @@ import pytest
 
 from pptgeo import cli, distill, serialize
 from pptgeo.cli import main
-from pptgeo.states import ShellUnreachable, WernerParams, max_entangled, werner
+from pptgeo.states import WernerParams, max_entangled, werner
 
 
 @pytest.fixture
@@ -260,14 +260,25 @@ def test_malformed_matrix_json_exits_2_with_field_name(tmp_path, capsys, obj, me
     assert message in err
 
 
-def test_shell_unreachable_exits_2(monkeypatch, capsys):
-    def unreachable(*args, **kwargs):
-        raise ShellUnreachable("no PSD state found on shell r=0.9")
+def test_shell_scan_failure_exits_2(monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(cli.harness, "shell_scan", unreachable)
+    monkeypatch.setattr(cli.harness, "shell_scan", diverge)
     code = main(["shell-scan", "--N", "4", "--split", "2x2", "--radii", "0.1"])
     assert code == 2
-    assert capsys.readouterr().err == "error: no PSD state found on shell r=0.9\n"
+    assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_amplitudes_exit_2(tmp_path, capsys, value):
+    path = tmp_path / "nan.json"
+    path.write_text(f'{{"dim": 4, "factors": [2, 2], "data": [[{value}, 0], [0, 0], [0, 0], [0, 0]]}}')
+    code = main(["pt-spectrum", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: amplitudes must be finite\n"
+    assert captured.out == ""
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

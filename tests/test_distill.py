@@ -15,24 +15,40 @@ from pptgeo.distill import (
     witness_expectation,
 )
 from pptgeo.states import (
-    PureState,
+    DensityMatrix,
     WernerParams,
-    convex_mix,
     max_entangled,
     maximally_mixed,
-    pure_density,
-    sample_hs_random,
-    sample_on_shell,
+    sample_hs,
+    shell_attempt,
     werner,
 )
 
 from conftest import random_hermitian, reference_alternate, werner_min_pt_oracle
 
 
+def _hs(dim, seed):
+    return sample_hs(np.random.default_rng(seed), dim)
+
+
+def _on_shell(dim, radius, seed):
+    """The first accepted shell attempt from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    state = None
+    while state is None:
+        state = shell_attempt(rng, dim, radius)
+    return state
+
+
+def _bell_projector():
+    amp = max_entangled(2).amplitudes
+    return DensityMatrix(dim=4, matrix=np.outer(amp, amp.conj()))
+
+
 def test_bell_projector_witness():
     # In 2x2 every vector has Schmidt rank <= 2, so the search is exact and
     # hits the global PT minimum -1/2.
-    result = find_schmidt2_witness(pure_density(max_entangled(2)), BipartiteSplit(2, 2))
+    result = find_schmidt2_witness(_bell_projector(), BipartiteSplit(2, 2))
     assert result.found
     assert result.value == pytest.approx(-0.5, abs=1e-12)
     assert result.restarts_used == 0
@@ -74,7 +90,7 @@ def test_value_never_undershoots_global_pt_floor():
     # Rayleigh quotients of compressions cannot go below the full spectrum.
     split = BipartiteSplit(3, 3)
     for seed in range(25):
-        rho = sample_hs_random(9, seed=seed)
+        rho = _hs(9, seed)
         floor = float(np.linalg.eigvalsh(partial_transpose(rho, split))[0])
         result = find_schmidt2_witness(rho, split, restarts=6, iters=15, seed=seed)
         assert result.value >= floor - 1e-10
@@ -86,7 +102,7 @@ def test_ppt_states_never_yield_witnesses():
     checked = 0
     seed = 0
     while checked < 100:
-        rho = sample_hs_random(4, seed=seed)
+        rho = _hs(4, seed)
         seed += 1
         if not is_ppt(rho, split).ppt:
             continue
@@ -114,18 +130,10 @@ def test_witness_search_rejects_zero_iters():
         find_schmidt2_witness(maximally_mixed(9), BipartiteSplit(3, 3), iters=0)
 
 
-@pytest.mark.parametrize("tol", [-0.5, -1e-12, np.nan, np.inf])
-def test_witness_search_rejects_bad_witness_tol(tol):
-    # With a negative tolerance I/9 (PT minimum +1/9) was reported as a
-    # found, certified witness.
-    with pytest.raises(ValueError, match="witness_tol must be finite and >= 0"):
-        find_schmidt2_witness(maximally_mixed(9), BipartiteSplit(3, 3), witness_tol=tol)
-
-
 @pytest.mark.parametrize("state, split", [
     (maximally_mixed(9), BipartiteSplit(3, 3)),            # PPT: certified, no search
     (werner(WernerParams(3, 0.5)), BipartiteSplit(3, 3)),  # NPT: searched
-    (pure_density(max_entangled(2)), BipartiteSplit(2, 2)),  # 2xN: exact path
+    (_bell_projector(), BipartiteSplit(2, 2)),  # 2xN: exact path
 ])
 def test_witness_search_rejects_negative_seed(state, split):
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
@@ -138,9 +146,9 @@ def _parity_states():
     cases = []
     for m, n in [(3, 3), (3, 4), (4, 3), (4, 4), (3, 5)]:
         dim = m * n
-        cases.append(("hs", m, n, sample_hs_random(dim, seed=10 * m + n)))
+        cases.append(("hs", m, n, _hs(dim, 10 * m + n)))
         floor = 1 / np.sqrt(dim * (dim - 1))
-        cases.append(("floor", m, n, sample_on_shell(dim, radius=0.999 * floor, seed=m + n)))
+        cases.append(("floor", m, n, _on_shell(dim, 0.999 * floor, m + n)))
         if m == n:
             cases.append(("werner_ppt", m, n, werner(WernerParams(m, 0.5 / (m + 1)))))
             cases.append(("werner_npt", m, n, werner(WernerParams(m, 2 / (m + 1)))))
@@ -228,7 +236,7 @@ def _werner_like(m, n, p):
     k, dim = min(m, n), m * n
     amp = np.zeros(dim, dtype=np.complex128)
     amp[[i * n + i for i in range(k)]] = 1 / np.sqrt(k)
-    return convex_mix(p, pure_density(PureState(dim=dim, amplitudes=amp)), maximally_mixed(dim))
+    return DensityMatrix(dim=dim, matrix=p * np.outer(amp, amp.conj()) + (1 - p) * np.eye(dim) / dim)
 
 
 def _ppt_states():
@@ -236,7 +244,7 @@ def _ppt_states():
     for m, n in [(3, 3), (3, 4), (4, 4), (3, 5)]:
         dim, k = m * n, min(m, n)
         floor = 1 / np.sqrt(dim * (dim - 1))
-        cases.append(("floor", m, n, sample_on_shell(dim, radius=0.999 * floor, seed=m * n)))
+        cases.append(("floor", m, n, _on_shell(dim, 0.999 * floor, m * n)))
         cases.append(("werner_ppt", m, n, _werner_like(m, n, 0.5 * k / (dim + k))))
     return cases
 
@@ -279,20 +287,28 @@ def test_certificate_threshold_is_witness_tol(lowest, searched):
 
 def test_search_miss_on_npt_input_is_inconclusive():
     # A one-step, one-restart search on an HS-random NPT state stops above
-    # the PT minimum; a tolerance between the two makes the input NPT for
-    # the certificate while the search misses.
-    state = sample_hs_random(9, seed=1)
+    # the PT minimum.  Mixing with I/9 shifts both by the same affine map
+    # and leaves the search's path alone, so a mix that puts their midpoint
+    # at 0 keeps the input NPT for the certificate while the search misses.
+    rho = _hs(9, 1)
     split = BipartiteSplit(3, 3)
-    sigma = partial_transpose(state, split)
-    sigma = (sigma + sigma.conj().T) / 2
-    lowest = np.linalg.eigvalsh(sigma)[0]
-    values, _ = _alternating_search(sigma, 3, 3, _start_subspaces(0, 1, 3), 1)
-    assert values[0] > lowest + 1e-3
-    tol = -(lowest + values[0]) / 2
-    result = find_schmidt2_witness(state, split, restarts=1, iters=1, seed=0, witness_tol=tol)
+
+    def floors(state):
+        sigma = partial_transpose(state, split)
+        sigma = (sigma + sigma.conj().T) / 2
+        values, _ = _alternating_search(sigma, 3, 3, _start_subspaces(0, 1, 3), 1)
+        return np.linalg.eigvalsh(sigma)[0], values[0]
+
+    lowest, value = floors(rho)
+    assert value > lowest + 1e-3
+    q = 1 / (1 - 9 * (lowest + value) / 2)
+    state = DensityMatrix(dim=9, matrix=q * rho.matrix + (1 - q) * np.eye(9) / 9)
+    lowest, value = floors(state)
+    assert lowest < -1e-4 and value > 1e-4
+    result = find_schmidt2_witness(state, split, restarts=1, iters=1, seed=0)
     assert not result.found and not result.certified
     assert result.restarts_used == 1
-    assert result.value == values[0]
+    assert result.value == value
 
 
 @pytest.mark.parametrize("label, m, n, state",
@@ -320,7 +336,7 @@ def test_refit_never_raises_a_restarts_value(label, m, n, state):
 def test_hs_3x4_parity_state_finds_witness():
     # An HS-random NPT state on which the conjugated B refit found no
     # witness with these restarts (best value +3.8e-4).
-    state = sample_hs_random(12, seed=34)
+    state = _hs(12, 34)
     result = find_schmidt2_witness(state, BipartiteSplit(3, 4), restarts=8, seed=5)
     assert result.found
     assert result.value < -0.05
@@ -331,13 +347,12 @@ def test_geometric_corollary_reported():
     # two claimed radii the outcome is reported, not asserted, since the
     # claimed balls admit NPT states at 3x3.
     from pptgeo.bounds import bounds_table
-    from pptgeo.states import sample_on_shell
 
     split = BipartiteSplit(3, 3)
     table = bounds_table(3)
     guaranteed = 1 / np.sqrt(9 * 8)
     for seed in range(10):
-        rho = sample_on_shell(9, radius=guaranteed * 0.99, seed=seed)
+        rho = _on_shell(9, guaranteed * 0.99, seed)
         assert not find_schmidt2_witness(rho, split, restarts=4, iters=10, seed=seed).found
 
     found_at = {}
@@ -345,7 +360,7 @@ def test_geometric_corollary_reported():
                           ("ppt_claim", table.ppt_radius)]:
         hits = 0
         for seed in range(10):
-            rho = sample_on_shell(9, radius=radius, seed=100 + seed)
+            rho = _on_shell(9, radius, 100 + seed)
             hits += int(find_schmidt2_witness(rho, split, restarts=4, iters=10,
                                               seed=seed).found)
         found_at[label] = hits

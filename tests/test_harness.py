@@ -32,7 +32,7 @@ from pptgeo.harness import (
     verify_claim_report,
     werner_sweep,
 )
-from pptgeo.states import PureState, ShellUnreachable, shell_chunk
+from pptgeo.states import PureState, WernerParams, shell_chunk, werner
 
 from conftest import werner_min_pt_oracle
 
@@ -52,6 +52,14 @@ def test_bisection_brackets_every_step():
     positives = [x for x, v in calls if v > 0]
     negatives = [x for x, v in calls if v <= 0]
     assert max(positives) < min(negatives)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-20])
+def test_bisection_ends_when_no_float_lies_inside_the_bracket(tol):
+    # Below the float spacing at the root the bracket cannot shrink to
+    # `tol`; it stops at two adjacent floats around 1/4.
+    root = bisect_decreasing(lambda x: 0.25 - x, 0.0, 1.0, tol=tol)
+    assert root in (np.nextafter(0.25, 0.0), 0.25)
 
 
 def test_bisection_requires_bracket():
@@ -145,7 +153,9 @@ def test_shells_validate_radii():
     with pytest.raises(ValueError):
         shell_scan(4, split, [0.2, 0.1], samples_per_shell=10)
     with pytest.raises(ValueError):
-        shell_scan(4, split, [0.2, 0.9], samples_per_shell=10)
+        shell_scan(4, split, [0.2, 0.9], samples_per_shell=10)  # beyond sqrt(3/4)
+    with pytest.raises(ValueError, match=r"radii must lie in \(0, 0.866025\)"):
+        shell_scan(4, split, [0.0], samples_per_shell=10)
 
 
 def test_shell_csv_deterministic():
@@ -286,7 +296,7 @@ def test_tied_shell_minima_keep_the_earlier_shell(monkeypatch, fresh_helpers, cp
 
 def _fail_in(monkeypatch, where, failing_seed, make=None):
     """Make the shell with seed `failing_seed` raise in the caller's part or
-    in a helper's (`make()`, or a ShellUnreachable naming the shell)."""
+    in a helper's (`make()`, or a LinAlgError naming the shell)."""
     caller = os.getpid()
     scan = harness._scan_part
 
@@ -295,7 +305,7 @@ def _fail_in(monkeypatch, where, failing_seed, make=None):
         if seed == failing_seed and (os.getpid() == caller) == (where == "parent"):
             if make is not None:
                 raise make()
-            raise ShellUnreachable(f"no PSD state found on shell r={radius} (seed {seed})")
+            raise np.linalg.LinAlgError(f"no convergence on shell r={radius} (seed {seed})")
         return scan(total_dim, split, radius, seed, first, stop)
 
     monkeypatch.setattr(harness, "_scan_part", scan_or_fail)
@@ -314,9 +324,9 @@ def test_worker_error_is_raised_and_every_child_reaped(monkeypatch, fresh_helper
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     _fail_in(monkeypatch, where, failing_seed)
     radii = ERROR_SCAN[2]
-    with pytest.raises(ShellUnreachable) as info:
+    with pytest.raises(np.linalg.LinAlgError) as info:
         shell_scan(*ERROR_SCAN, samples_per_shell=150)
-    assert str(info.value) == (f"no PSD state found on shell r={radii[failing_seed]} "
+    assert str(info.value) == (f"no convergence on shell r={radii[failing_seed]} "
                                f"(seed {failing_seed})")
     assert forks[0] == cpus - 1
     # No reply of the failed scan is left to be read: the next scan (seeds
@@ -591,6 +601,18 @@ def test_claim_report_roundtrip_and_reverification(tmp_path):
     bad2["counterexample"] = None
     with pytest.raises(ValueError):
         verify_claim_report(bad2)
+
+
+def test_claim_report_with_a_forged_radius_fails_verification():
+    # A d = 3 report whose recorded PPT radius is raised to 0.9, with a
+    # Werner state at p = 0.9 (distance 0.849, NPT) as its counterexample:
+    # the state lies inside the recorded radius but not the claimed 0.3247.
+    obj = claim_report_to_dict(claim_check(3, samples=20, base_seed=1), timestamp="t")
+    obj["bounds"]["ppt_radius"] = 0.9
+    obj["counterexample"]["state"] = serialize.matrix_to_json(
+        werner(WernerParams(3, 0.9)).matrix, factors=(3, 3))
+    with pytest.raises(ValueError, match="recorded PPT radius 0.9 is not the claimed radius"):
+        verify_claim_report(obj)
 
 
 def test_claim_report_deterministic_modulo_timestamp():

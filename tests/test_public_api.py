@@ -1,4 +1,5 @@
-"""The package surface has no dead names: exports resolve, imports are used."""
+"""The package surface has no dead names: exports resolve and have a user
+outside the unit tests, and imports are used."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,11 @@ import pptgeo
 
 PACKAGE_DIR = Path(pptgeo.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+ROOT = PACKAGE_DIR.parent.parent
+# Code that uses the library for real: the package itself, the scripts, the
+# benchmark and the acceptance criteria.  The unit tests do not count.
+USER_FILES = MODULES + sorted((ROOT / "scripts").glob("*.py")) + sorted(
+    (ROOT / "pptbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -20,6 +26,49 @@ def imported_names(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             names.update(a.asname or a.name for a in node.names)
     return names
+
+
+def references(path: Path) -> list[tuple[str, str | None]]:
+    """(name, owner) of every name, attribute or string constant in a file
+    that could refer to an export (the benchmark's tracer names its targets
+    as strings).  The owner is the package-level definition the reference
+    sits in, or None.  Importing or catching a name is not a use of it, so
+    imports and `except` clauses are skipped."""
+    refs = []
+    for stmt in ast.parse(path.read_text()).body:
+        owner = None
+        if path.parent == PACKAGE_DIR:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                owner = stmt.name
+            elif isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name):
+                owner = stmt.targets[0].id
+        caught = {id(n) for h in ast.walk(stmt) if isinstance(h, ast.ExceptHandler) and h.type
+                  for n in ast.walk(h.type)}
+        for node in ast.walk(stmt):
+            if id(node) in caught:
+                continue
+            if isinstance(node, ast.Name):
+                refs.append((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, owner))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.append((node.value, owner))
+    return refs
+
+
+def test_every_export_has_a_non_test_user():
+    # An export is used when code outside its own definition refers to it;
+    # a reference inside another export counts only once that one is used.
+    exports = set(pptgeo.__all__) - {"__version__"}
+    refs = [(name, owner) for path in USER_FILES for name, owner in references(path)
+            if name in exports and name != owner]
+    used = set()
+    while True:
+        now = {name for name, owner in refs if owner not in exports or owner in used}
+        if now == used:
+            break
+        used = now
+    assert sorted(exports - used) == []
 
 
 def test_every_export_resolves():

@@ -7,20 +7,16 @@ from pptgeo import harness, states, workers
 from pptgeo.bipartite import BipartiteSplit, is_ppt, min_pt_eigenvalues
 from pptgeo.bounds import ppt_radius
 from pptgeo.harness import claim_check
-from pptgeo.linalg import DimensionMismatch, hs_distance
+from pptgeo.linalg import hs_distance
 from pptgeo.states import (
     DensityMatrix,
     NotNormalized,
     PureState,
-    ShellUnreachable,
     WernerParams,
-    complex_ginibre,
-    convex_mix,
     max_entangled,
     maximally_mixed,
-    pure_density,
-    sample_hs_random,
-    sample_on_shell,
+    sample_hs,
+    shell_attempt,
     shell_batch,
     shell_chunk,
     standard_normals,
@@ -47,6 +43,13 @@ def test_pure_state_requires_normalization():
         PureState(dim=2, amplitudes=np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    # A NaN norm passes the normalization check, so it needs its own.
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        PureState(dim=2, amplitudes=np.array([bad, 0.0]))
+
+
 def test_werner_params_ranges():
     with pytest.raises(ValueError):
         WernerParams(1, 0.5)
@@ -66,14 +69,18 @@ def test_maximally_mixed_distance_to_itself():
     assert hs_distance(m.matrix, m.matrix) == 0.0
 
 
+def _projector(psi):
+    return DensityMatrix(dim=psi.dim, matrix=np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+
 def test_pure_density_basis_state():
-    rho = pure_density(PureState(dim=2, amplitudes=np.array([1.0, 0.0])))
+    rho = _projector(PureState(dim=2, amplitudes=np.array([1.0, 0.0])))
     np.testing.assert_array_equal(rho.matrix, np.diag([1.0, 0.0]).astype(complex))
 
 
 def test_pure_density_bell_corners():
     bell = PureState(dim=4, amplitudes=np.array([1, 0, 0, 1]) / np.sqrt(2))
-    rho = pure_density(bell).matrix
+    rho = _projector(bell).matrix
     assert rho[0, 0] == pytest.approx(0.5)
     assert rho[0, 3] == pytest.approx(0.5)
     assert rho[3, 0] == pytest.approx(0.5)
@@ -83,7 +90,7 @@ def test_pure_density_bell_corners():
 def test_pure_density_is_rank_one(rng):
     g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     psi = PureState(dim=6, amplitudes=g / np.linalg.norm(g))
-    assert pure_density(psi).purity() == pytest.approx(1.0, abs=1e-12)
+    assert _projector(psi).purity() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_werner_p0_is_maximally_mixed():
@@ -93,7 +100,7 @@ def test_werner_p0_is_maximally_mixed():
 
 
 def test_werner_p1_is_bell_projector():
-    expected = pure_density(max_entangled(2)).matrix
+    expected = _projector(max_entangled(2)).matrix
     np.testing.assert_allclose(werner(WernerParams(2, 1.0)).matrix, expected, atol=1e-15)
 
 
@@ -106,24 +113,13 @@ def test_werner_qubit_threshold_is_exact():
     assert werner_min_pt_oracle(2, 1 / 3) == pytest.approx(0.0, abs=1e-16)
 
 
-def test_convex_mix_endpoints(rng):
-    a = sample_hs_random(4, seed=1)
-    b = sample_hs_random(4, seed=2)
-    np.testing.assert_array_equal(convex_mix(1.0, a, b).matrix, a.matrix)
-    np.testing.assert_array_equal(convex_mix(0.0, a, b).matrix, b.matrix)
-
-
-def test_convex_mix_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        convex_mix(0.5, sample_hs_random(4, 0), sample_hs_random(9, 0))
-
-
 @given(p=st.floats(0.0, 1.0), seed=st.integers(0, 1000))
 @settings(max_examples=30, deadline=None)
 def test_convex_mix_stays_in_psd_cone(p, seed):
-    a = sample_hs_random(6, seed=seed)
-    b = sample_hs_random(6, seed=seed + 1)
-    mixed = convex_mix(p, a, b)  # construction re-validates all invariants
+    a = sample_hs(np.random.default_rng(seed), 6)
+    b = sample_hs(np.random.default_rng(seed + 1), 6)
+    # construction re-validates all invariants
+    mixed = DensityMatrix(dim=6, matrix=p * a.matrix + (1.0 - p) * b.matrix)
     assert np.linalg.eigvalsh(mixed.matrix)[0] >= -1e-9
 
 
@@ -131,21 +127,22 @@ def test_convex_mix_stays_in_psd_cone(p, seed):
 
 def test_sample_hs_unit_trace_and_psd():
     for seed in range(20):
-        rho = sample_hs_random(5, seed=seed)
+        rho = sample_hs(np.random.default_rng(seed), 5)
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-12
 
 
 def test_sample_hs_deterministic_for_fixed_seed():
-    a = sample_hs_random(4, seed=42)
-    b = sample_hs_random(4, seed=42)
+    a = sample_hs(np.random.default_rng(42), 4)
+    b = sample_hs(np.random.default_rng(42), 4)
+    assert a.matrix.shape == (4, 4)
     np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
 def test_sample_hs_purity_bounds():
     for seed in range(50):
         dim = 2 + seed % 5
-        purity = sample_hs_random(dim, seed=seed).purity()
+        purity = sample_hs(np.random.default_rng(seed), dim).purity()
         assert 1 / dim - 1e-12 <= purity <= 1 + 1e-12
 
 
@@ -155,29 +152,25 @@ def test_gaussian_stream_moments():
     assert abs(g.std() - 1.0) < 0.01
 
 
-def test_ginibre_shape_and_determinism():
-    a = complex_ginibre(np.random.default_rng(7), 3)
-    b = complex_ginibre(np.random.default_rng(7), 3)
-    assert a.shape == (3, 3)
-    np.testing.assert_array_equal(a, b)
-
+# Inside the spectral floor 1/sqrt(N(N-1)) every shell attempt is accepted,
+# so one attempt lands on the shell.
 
 def test_shell_tiny_radius_always_accepted():
-    rho = sample_on_shell(4, radius=1e-6, seed=0, max_rejects=1)
+    rho = shell_attempt(np.random.default_rng(0), 4, 1e-6)
     d = hs_distance(rho.matrix, maximally_mixed(4).matrix)
     assert abs(d - 1e-6) <= 1e-12
 
 
 def test_shell_hits_requested_radius():
     for seed, radius in [(0, 0.05), (1, 0.15), (2, 0.28)]:
-        rho = sample_on_shell(4, radius=radius, seed=seed)
+        rho = shell_attempt(np.random.default_rng(seed), 4, radius)
         d = hs_distance(rho.matrix, maximally_mixed(4).matrix)
         assert abs(d - radius) <= 1e-12
 
 
 def test_shell_deterministic():
-    a = sample_on_shell(9, radius=0.1, seed=11)
-    b = sample_on_shell(9, radius=0.1, seed=11)
+    a = shell_attempt(np.random.default_rng(11), 9, 0.1)
+    b = shell_attempt(np.random.default_rng(11), 9, 0.1)
     np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
@@ -187,20 +180,8 @@ def test_shell_inside_guarantee_radius_is_ppt_any_split():
     assert 1 / 4 - 0.28 * np.sqrt(3 / 4) > 0
     split = BipartiteSplit(2, 2)
     for seed in range(50):
-        rho = sample_on_shell(4, radius=0.28, seed=seed)
+        rho = shell_attempt(np.random.default_rng(seed), 4, 0.28)
         assert is_ppt(rho, split).ppt
-
-
-def test_shell_unreachable_raises():
-    with pytest.raises(ShellUnreachable):
-        sample_on_shell(4, radius=0.86, seed=0, max_rejects=50)
-
-
-def test_shell_radius_domain():
-    with pytest.raises(ValueError):
-        sample_on_shell(4, radius=0.9, seed=0)  # beyond sqrt(3/4)
-    with pytest.raises(ValueError):
-        sample_on_shell(4, radius=0.0, seed=0)
 
 
 def test_shell_acceptance_nonincreasing_report():
@@ -210,8 +191,6 @@ def test_shell_acceptance_nonincreasing_report():
     for radius in (0.3, 0.5, 0.7):
         accepted = 0
         rng = np.random.default_rng(123)
-        from pptgeo.states import shell_attempt
-
         for _ in range(300):
             if shell_attempt(rng, 4, radius) is not None:
                 accepted += 1
