@@ -139,6 +139,14 @@ def test_sample_hs_deterministic_for_fixed_seed():
     np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
+def test_ginibre_shape_and_determinism():
+    # The Ginibre draw is internal to sample_hs; a fixed seed fixes the state.
+    a = sample_hs(np.random.default_rng(7), 3)
+    b = sample_hs(np.random.default_rng(7), 3)
+    assert a.matrix.shape == (3, 3)
+    np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
 def test_sample_hs_purity_bounds():
     for seed in range(50):
         dim = 2 + seed % 5
@@ -182,6 +190,14 @@ def test_shell_inside_guarantee_radius_is_ppt_any_split():
     for seed in range(50):
         rho = shell_attempt(np.random.default_rng(seed), 4, 0.28)
         assert is_ppt(rho, split).ppt
+
+
+def test_shell_radius_domain():
+    split = BipartiteSplit(2, 2)
+    with pytest.raises(ValueError):
+        harness.shell_scan(4, split, [0.9], samples_per_shell=10)  # beyond sqrt(3/4)
+    with pytest.raises(ValueError):
+        harness.shell_scan(4, split, [0.0], samples_per_shell=10)
 
 
 def test_shell_acceptance_nonincreasing_report():
