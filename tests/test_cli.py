@@ -224,11 +224,18 @@ GOLDEN_DIGESTS = [
      "d623b85238b0c214d9940c74532e31800fed65aa61e91a8f43d682e3089a7ffc"),
     (["claim-check", "--d", "3", "--samples", "300", "--seed", "0"],
      "378f80722ab8689bdda2f1946bfe6f01ef7937266b726b997fe3252826a820ba"),
+    (["claim-check", "--d", "4", "--samples", "300", "--seed", "0"],
+     "32c2e653237adde56bc48544f8945e13a3d1db4b5e6b719bc09573af4493e2f4"),
+    # Its shells mix PPT and NPT rows, and 0.27 lies past r_hs(16) = 0.249.
+    (["shell-scan", "--N", "16", "--split", "4x4", "--radii", "0.12,0.16,0.2,0.24,0.27",
+      "--samples", "500", "--seed", "3"],
+     "ad7a8814e7937d5f1eb98e60b521da17229045e9903ae04499c2f4a9aa42afa4"),
 ]
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN_DIGESTS,
-                         ids=["shell-scan-3x3", "shell-scan-2x3", "claim-check-d3"])
+                         ids=["shell-scan-3x3", "shell-scan-2x3", "claim-check-d3",
+                              "claim-check-d4", "shell-scan-4x4"])
 def test_output_matches_golden_digest(tmp_path, args, digest):
     out = tmp_path / "report.out"
     assert main(args + ["--out", str(out)]) == 0
