@@ -4,9 +4,12 @@ Every report is deterministic given its base seed: shell i of a scan draws
 from base_seed + i, and each part of a shell from that stream advanced to its
 first sample, whether it runs in this process or in a helper process forked
 once and kept for later scans (helpers run the code as loaded when forked).
-Claim checks never hard-fail on a refuted radius claim: the verdict plus a
-serialized counterexample state is the output, so a correct run stays green
-even when the claim under test is not.
+A shell's PPT verdicts and its lowest PT eigenvalue come from Cholesky
+certificates, and only the rows those leave open are eigen-solved, so the
+tallies are those of eigen-solving every row, bit for bit.  Claim checks
+never hard-fail on a refuted radius claim: the verdict plus a serialized
+counterexample state is the output, so a correct run stays green even when
+the claim under test is not.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ from .bipartite import (
     BipartiteSplit,
     is_ppt,
     min_pt_eigenvalues,
+    partial_transpose,
     pt_spectrum_analytic,
     pure_pt_spectra,
     schmidt,
 )
 from .bounds import BoundsTable, ball_radius, bounds_table, ppt_radius, werner_pm
-from .linalg import hs_distance
+from .linalg import as_hermitian, cholesky_margin, cholesky_passes, hs_distance, min_eig_at_least
 from .states import (
     GENERATOR_ID,
     DensityMatrix,
@@ -42,6 +46,7 @@ from .states import (
     shell_chunk,
     standard_normals,
     werner,
+    werner_matrix,
 )
 from .workers import pool_map
 
@@ -102,7 +107,10 @@ class SweepReport:
 
 
 def _werner_min_pt(d: int, split: BipartiteSplit, p: float) -> float:
-    return is_ppt(werner(WernerParams(d, p)), split).min_pt_eigenvalue
+    """`is_ppt(werner(WernerParams(d, p)), split).min_pt_eigenvalue`, solved
+    from the same symmetrized matrix without validating it as a state."""
+    matrix = as_hermitian(werner_matrix(WernerParams(d, p)))
+    return float(min_pt_eigenvalues(matrix[None], split)[0])
 
 
 def werner_sweep(qudit_dim: int, grid_points: int = 21) -> SweepReport:
@@ -177,8 +185,8 @@ def _scan_part(total_dim: int, split: BipartiteSplit, radius: float, seed: int,
     from default_rng(seed) advanced past the 2 N^2 uniforms (one PCG64 step
     each) of every earlier sample.
 
-    Returns their tally (see _merge): the minimum is inf and its state None
-    when no sample was accepted.
+    Returns their tally (see _merge, _chunk_tally): the minimum is inf and
+    its state None when no sample was accepted.
     """
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(first * 2 * total_dim**2)
@@ -187,11 +195,68 @@ def _scan_part(total_dim: int, split: BipartiteSplit, radius: float, seed: int,
     for start in range(first, stop, chunk):
         states = shell_batch(rng, total_dim, radius, min(chunk, stop - start))
         if len(states):
-            floors = min_pt_eigenvalues(states, split)
-            lowest = int(np.argmin(floors))
-            tally = _merge(tally, (len(states), int(np.count_nonzero(floors >= -PPT_TOL)),
-                                   float(floors[lowest]), states[lowest].copy()))
+            tally = _merge(tally, _chunk_tally(states, split, tally[2]))
     return tally
+
+
+def _chunk_tally(states: np.ndarray, split: BipartiteSplit, floor: float) -> tuple:
+    """Tally (see _merge) of a stack of accepted states that follows samples
+    whose lowest PT floor is `floor`; its minimum is exact wherever it lies
+    below `floor`, the only case in which _merge keeps it.
+
+    Each PT floor is what `min_pt_eigenvalues` gives, but only the rows a
+    Cholesky certificate (`cholesky_passes`, `cholesky_margin`) leaves open
+    are eigen-solved:
+
+    - PPT verdict: `min_eig_at_least` at -PPT_TOL.
+    - Minimum: a row that passes at low + margin has a floor above `low`,
+      the lowest floor known so far (`floor`, then a solved row's), so it
+      can neither be a new minimum nor tie one.  While rows stay open, the
+      one `_likely_lowest` picks is solved, lowering `low`, and the rest
+      are tested again.  A PPT row's floor lies above an NPT row's, so
+      once either the stack holds an NPT row or `floor` is below -PPT_TOL,
+      only the NPT rows are open to begin with.
+
+    Every row whose floor is at most the final `low` is solved, so the
+    first lowest solved row is the first lowest row of the stack.
+    """
+    pt = partial_transpose(states, split)
+    ppt = min_eig_at_least(pt, -PPT_TOL)
+    margin = cholesky_margin(split.dim)
+    floors = np.full(len(pt), np.nan)  # min_pt_eigenvalues of the rows solved
+    low = floor
+    open_rows = np.flatnonzero(~ppt) if floor < -PPT_TOL or not ppt.all() else np.arange(len(pt))
+    while open_rows.size:
+        if low < np.inf:
+            open_rows = open_rows[~cholesky_passes(pt[open_rows], low + margin)]
+        if open_rows.size:
+            # No PT floor exceeds 1/N, the mean of a unit-trace spectrum.
+            row = _likely_lowest(pt, open_rows, min(low, 1.0 / split.dim) + margin, margin)
+            floors[row] = np.linalg.eigvalsh(pt[row:row + 1])[0, 0]
+            low = min(low, floors[row])
+            open_rows = open_rows[open_rows != row]
+
+    solved = np.flatnonzero(~np.isnan(floors))
+    if not solved.size:
+        return len(pt), int(np.count_nonzero(ppt)), np.inf, None
+    lowest = solved[np.argmin(floors[solved])]
+    return len(pt), int(np.count_nonzero(ppt)), float(floors[lowest]), states[lowest].copy()
+
+
+def _likely_lowest(pt: np.ndarray, rows: np.ndarray, top: float, margin: float) -> int:
+    """The row, among `rows` of the PT stack, to eigen-solve next: bisect a
+    shift between -1 and `top`, keeping the rows that fail to factor there
+    whenever any does, until one row is left or the bracket is 4 margins
+    wide.  No PT floor lies below -1 (the HS norm of a PT is at most 1)."""
+    bottom = -1.0
+    while rows.size > 1 and top - bottom > 4 * margin:
+        shift = (bottom + top) / 2
+        failing = rows[~cholesky_passes(pt[rows], shift)]
+        if failing.size:
+            rows, top = failing, shift
+        else:
+            bottom = shift
+    return int(rows[0])
 
 
 def _usable_cpus() -> int:
@@ -481,15 +546,32 @@ def claim_report_to_dict(report: ClaimCheckReport, timestamp: str | None = None)
     return out
 
 
+def _claimed_radius(obj: dict, dim: int) -> float:
+    """The claimed PPT radius `ppt_radius(dim)`, which must be the one the
+    report records."""
+    claimed = ppt_radius(dim)
+    if obj["bounds"]["ppt_radius"] != claimed:
+        raise ValueError(
+            f"recorded PPT radius {obj['bounds']['ppt_radius']!r} is not the claimed "
+            f"radius {claimed!r} for N = {dim}"
+        )
+    return claimed
+
+
 def verify_claim_report(obj: dict) -> dict:
     """Re-validate a loaded claim-check report from its serialized state alone.
 
     A COUNTEREXAMPLE_FOUND verdict must carry a state that, recomputed from
     the embedded matrix, sits within the claimed radius `ppt_radius(N)` and
-    has a PT eigenvalue below -1e-9; the radius the report records must be
-    that one.  Raises ValueError otherwise.
+    has a PT eigenvalue below -1e-9.  A CONSISTENT verdict must not be
+    refuted by the report itself: neither its Werner probe, recomputed from
+    the recorded `p`, nor any shell row recorded at a radius up to the
+    claim may show a PT eigenvalue below -1e-9 within the claimed radius.
+    Either way the radius the report records must be the claimed one.
+    Raises ValueError otherwise.
     """
-    if obj["verdict"] == VERDICT_COUNTEREXAMPLE:
+    verdict = obj["verdict"]
+    if verdict == VERDICT_COUNTEREXAMPLE:
         ce = obj.get("counterexample")
         if ce is None:
             raise ValueError("COUNTEREXAMPLE_FOUND verdict without an attached state")
@@ -498,12 +580,7 @@ def verify_claim_report(obj: dict) -> dict:
             raise ValueError("counterexample state lacks split metadata")
         state = DensityMatrix(dim=matrix.shape[0], matrix=matrix)
         split = BipartiteSplit(*factors)
-        claimed = ppt_radius(state.dim)
-        if obj["bounds"]["ppt_radius"] != claimed:
-            raise ValueError(
-                f"recorded PPT radius {obj['bounds']['ppt_radius']!r} is not the claimed "
-                f"radius {claimed!r} for N = {state.dim}"
-            )
+        claimed = _claimed_radius(obj, state.dim)
         distance = hs_distance(state.matrix, maximally_mixed(state.dim).matrix)
         check = is_ppt(state, split)
         if distance > claimed + 1e-12:
@@ -512,6 +589,28 @@ def verify_claim_report(obj: dict) -> dict:
             raise ValueError(
                 f"counterexample PT floor {check.min_pt_eigenvalue} is not below {-NEGATIVITY_TOL}"
             )
+    elif verdict == VERDICT_CONSISTENT:
+        d = obj["qudit_dim"]
+        claimed = _claimed_radius(obj, d * d)
+        probe = obj["werner_probe"]
+        if probe is not None:
+            state = werner(WernerParams(d, probe["p"]))
+            distance = hs_distance(state.matrix, maximally_mixed(d * d).matrix)
+            floor = is_ppt(state, BipartiteSplit(d, d)).min_pt_eigenvalue
+            if distance <= claimed and floor < -NEGATIVITY_TOL:
+                raise ValueError(
+                    f"CONSISTENT verdict, but the Werner probe at p = {probe['p']!r} has PT "
+                    f"floor {floor} at distance {distance} within the claimed radius {claimed}"
+                )
+        for row in obj["shell_scan"]["rows"]:
+            radius, min_pt = row[0], row[-1]
+            if radius <= claimed and min_pt < -NEGATIVITY_TOL:
+                raise ValueError(
+                    f"CONSISTENT verdict, but the shell at radius {radius!r} within the claimed "
+                    f"radius {claimed} records PT floor {min_pt}"
+                )
+    else:
+        raise ValueError(f"unknown verdict {verdict!r}")
     return obj
 
 

@@ -1,16 +1,20 @@
-"""Validation of the matrices that enter pptgeo, and the HS distance.
+"""Validation of the matrices that enter pptgeo, the HS distance, and a
+stacked Cholesky certificate for the sign of a smallest eigenvalue.
 
 Matrices are square ``complex128`` ndarrays with finite entries.
 Hermiticity is checked to ``HERMITICITY_TOL`` in max-abs and then made
 exact by symmetrizing, so a validated matrix equals its conjugate
 transpose bit for bit.  States are validated once, where they enter
 (`DensityMatrix`, JSON load); partial transposes of them stay Hermitian to
-the bit, so the modules downstream call numpy's eigen-solvers directly.
+the bit, so the modules downstream call numpy's eigen-solvers directly,
+or settle which side of a threshold a smallest eigenvalue lies on by a
+Cholesky factorization (`min_eig_at_least`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 HERMITICITY_TOL = 1e-10
 
@@ -48,3 +52,69 @@ def hs_distance(a, b) -> float:
     if ah.shape != bh.shape:
         raise DimensionMismatch(f"dimension mismatch: {ah.shape} vs {bh.shape}")
     return float(np.linalg.norm(ah - bh))
+
+
+def cholesky_margin(dim: int) -> float:
+    """Distance from a threshold t at which `cholesky_passes` settles, for a
+    Hermitian N x N matrix A of unit trace and HS norm at most 1 (a shell
+    candidate, a state or its partial transpose), the same side of t as
+    `np.linalg.eigvalsh(A)[0]`; N >= 4.
+
+    Let u = 2^-53 and B = A - s I with |s| <= 1, so tr B <= 1 + N and every
+    diagonal entry of B lies in [-2, 2].
+
+    - Success: a Cholesky factorization that runs to completion gives
+      L L† = B + dB with |dB| <= gamma_{N+1} |L| |L†| (Higham, Accuracy and
+      Stability of Numerical Algorithms, Thms 10.3 and 10.5), and
+      ||dB||_2 <= gamma_{N+1} tr(L L†).  So
+      lambda_min(A) >= s - (N+1) u tr B, which is at least s - 2 N^2 u.
+    - Failure: if 20 N^1.5 (N+1) u < lambda_min(D^-1/2 B D^-1/2), with
+      D = diag B, the factorization runs to completion (Demmel, "On
+      floating point errors in Cholesky", LAPACK Working Note 14, 1989;
+      Higham Thm 10.7), and lambda_min(B) <= max diag B times that
+      minimum.  So failure gives
+      lambda_min(A) < s + 20 N^2.5 u max diag B, at most s + 50 N^2.5 u.
+
+    Rounding the shifted diagonal and complex arithmetic move both by a
+    small multiple of u.  The margin 100 N^2.5 u (3.6e-13 at N = 4,
+    8.6e-11 at N = 36) exceeds both by 50 N^2.5 u, which covers the error
+    of `eigvalsh` itself: it is backward stable, so its smallest eigenvalue
+    lies within c N^2 u ||A||_2 of the exact one for a small constant c
+    (Householder tridiagonalization), with ||A||_2 <= 1.  Hence passing at
+    t + margin proves `eigvalsh(A)[0] > t`, and failing at t - margin
+    proves `eigvalsh(A)[0] < t`.
+    """
+    return 100.0 * dim**2.5 * np.finfo(np.float64).eps / 2
+
+
+def cholesky_passes(stack: np.ndarray, shift: float) -> np.ndarray:
+    """Whether A - shift I passes a Cholesky factorization, for each matrix A
+    of a (k, N, N) Hermitian stack: a bool per matrix.
+
+    One call of numpy's stacked kernel (`np.linalg.cholesky` calls the
+    same one), which leaves NaN in the factor of a matrix that fails where
+    `np.linalg.cholesky` would raise for the whole stack.  `cholesky_margin`
+    says what a pass or a failure proves about the smallest eigenvalue.
+    """
+    if not len(stack):
+        return np.zeros(0, dtype=bool)
+    shifted = np.array(stack, dtype=np.complex128)
+    dim = shifted.shape[-1]
+    shifted.reshape(len(shifted), dim * dim)[:, :: dim + 1] -= shift
+    with np.errstate(invalid="ignore"):
+        factor = _umath_linalg.cholesky_lo(shifted, signature="D->D", out=shifted)
+    return ~np.isnan(factor[:, -1, -1].real)
+
+
+def min_eig_at_least(stack: np.ndarray, threshold: float) -> np.ndarray:
+    """`np.linalg.eigvalsh(stack)[:, 0] >= threshold` for a (k, N, N) stack of
+    matrices as `cholesky_margin` describes, eigen-solving only the rows that
+    the Cholesky certificate leaves open: those that neither pass at
+    threshold + margin nor fail at threshold - margin."""
+    margin = cholesky_margin(stack.shape[-1])
+    above = cholesky_passes(stack, threshold + margin)
+    rest = np.flatnonzero(~above)
+    unsure = rest[cholesky_passes(stack[rest], threshold - margin)]
+    if unsure.size:
+        above[unsure] = np.linalg.eigvalsh(stack[unsure])[:, 0] >= threshold
+    return above

@@ -6,11 +6,12 @@ reproducible: PCG64 supplies uniforms and Gaussians come from a vectorized
 Box-Muller transform, so a seed pins the output bit-for-bit.  Shell samples
 are drawn in stacks whose output and stream match drawing them one at a
 time: stacked traces and norms reduce each sample in numpy's per-matrix
-order, and the PSD test runs an eigen-solve only on rows that closed-form
-bounds (see `shell_batch`) leave undecided.  Beyond the typical HS distance
-of a random state, where most attempts are rejects, a single-precision
-screen first drops the attempts it certifies as rejects by SCREEN_MARGIN;
-the rest take the exact float64 path, so the output stays bit-identical.
+order, and the PSD test settles rows by closed-form bounds, then by a
+Cholesky certificate (see `shell_batch`), and eigen-solves only the rows
+both leave open.  Beyond the typical HS distance of a random state, where
+most attempts are rejects, a single-precision screen first drops the
+attempts it certifies as rejects by SCREEN_MARGIN; the rest take the exact
+float64 path, so the output stays bit-identical.
 The generator identity string is recorded in every report header.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatch, as_hermitian
+from .linalg import DimensionMismatch, as_hermitian, min_eig_at_least
 
 GENERATOR_ID = "pcg64+box-muller"
 
@@ -28,8 +29,8 @@ DENSITY_TRACE_TOL = 1e-10
 DENSITY_PSD_TOL = 1e-9
 PURE_NORM_TOL = 1e-12
 # Shell acceptance is deliberately stricter than DENSITY_PSD_TOL, so the
-# acceptance eigen-solve already proves every accepted sample PSD and no
-# second solve is needed before it leaves the sampler.
+# acceptance test already proves every accepted sample PSD and no second
+# solve is needed before it leaves the sampler.
 SHELL_PSD_TOL = 1e-12
 # Beyond the typical HS distance (`_typical_hs_radius`) most shell candidates
 # are rejects, and a screen on single-precision normals drops the rows whose
@@ -146,6 +147,16 @@ def max_entangled(local_dim: int) -> PureState:
     return PureState(dim=d * d, amplitudes=amp)
 
 
+def werner_matrix(params: WernerParams) -> np.ndarray:
+    """The matrix p |Phi><Phi| + (1-p) I/d^2 of `werner`, before validation."""
+    d = params.local_dim
+    p = params.mixing
+    amp = max_entangled(d).amplitudes
+    proj = np.outer(amp, amp.conj())
+    eye = np.eye(d * d, dtype=np.complex128) / (d * d)
+    return p * proj + (1.0 - p) * eye
+
+
 def werner(params: WernerParams) -> DensityMatrix:
     """Werner family p |Phi><Phi| + (1-p) I/d^2.
 
@@ -154,11 +165,7 @@ def werner(params: WernerParams) -> DensityMatrix:
     d=2 threshold p = 1/3 come out exactly.
     """
     d = params.local_dim
-    p = params.mixing
-    amp = max_entangled(d).amplitudes
-    proj = np.outer(amp, amp.conj())
-    eye = np.eye(d * d, dtype=np.complex128) / (d * d)
-    return DensityMatrix(dim=d * d, matrix=p * proj + (1.0 - p) * eye)
+    return DensityMatrix(dim=d * d, matrix=werner_matrix(params))
 
 
 def sample_hs(rng: np.random.Generator, dim: int) -> DensityMatrix:
@@ -290,8 +297,13 @@ def shell_batch(rng: np.random.Generator, dim: int, radius: float, count: int) -
 
     Rounding moves these bounds by order N * eps, far inside the
     eigen-solve's own tolerance, so each certified row gets the verdict the
-    eigen-solve would give.  Only the remaining rows go through one stacked
-    `eigvalsh`.
+    eigen-solve would give.  The remaining rows take a Cholesky certificate
+    (`min_eig_at_least`, with the margin m = `cholesky_margin(N)` derived
+    there): a row whose candidate minus (-SHELL_PSD_TOL + m) I factors is
+    an accept, one whose candidate minus (-SHELL_PSD_TOL - m) I fails to
+    factor is a reject, and m covers the rounding of the factorization and
+    of `eigvalsh` alike, so both match the eigen-solve's verdict.  Only the
+    rows within m of the threshold go through one stacked `eigvalsh`.
 
     Beyond the typical HS distance r_hs(N) (`_typical_hs_radius`) almost
     every candidate has s > 1 and most are rejects.  There the uniforms
@@ -337,7 +349,7 @@ def shell_batch(rng: np.random.Generator, dim: int, radius: float, count: int) -
     keep = _psd_bounds(dim, scale, radius)
     undecided = ~keep
     if undecided.any():
-        keep[undecided] = np.linalg.eigvalsh(candidates[undecided])[:, 0] >= -SHELL_PSD_TOL
+        keep[undecided] = min_eig_at_least(candidates[undecided], -SHELL_PSD_TOL)
     accepted = candidates[keep]
 
     trace_dev = float(np.max(np.abs(_stacked_traces(accepted) - 1.0), initial=0.0))

@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pptgeo import cli, harness, serialize, states, workers
-from pptgeo.bipartite import BipartiteSplit, pt_spectrum_analytic, schmidt
+from pptgeo.bipartite import (
+    PPT_TOL,
+    BipartiteSplit,
+    is_ppt,
+    partial_transpose,
+    pt_spectrum_analytic,
+    schmidt,
+)
 from pptgeo.harness import (
     VERDICT_CONSISTENT,
     VERDICT_COUNTEREXAMPLE,
@@ -96,6 +103,20 @@ def test_sweep_rows_ordered_and_strictly_decreasing():
     assert all(b < a for a, b in zip(floors, floors[1:]))
     for row in report.rows:
         assert row.min_pt_eig == pytest.approx(werner_min_pt_oracle(3, row.p), abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_werner_bisection_solves_the_stored_matrix_without_validating_it(monkeypatch, d):
+    split = BipartiteSplit(d, d)
+    grid = [float(p) for p in np.linspace(0.0, 1.0, 41)]
+    want = [is_ppt(werner(WernerParams(d, p)), split).min_pt_eigenvalue for p in grid]
+
+    def no_validation(self):
+        raise AssertionError("a DensityMatrix was validated in the bisection")
+
+    monkeypatch.setattr(states.DensityMatrix, "__post_init__", no_validation)
+    got = [harness._werner_min_pt(d, split, p) for p in grid]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_sweep_rejects_bad_arguments():
@@ -513,6 +534,166 @@ def test_no_shell_row_lies_below_the_worst_pt_floor(factors, fractions, samples,
         assert report.worst_min_pt == min(r.min_pt_eig for r in report.rows if r.accepted)
 
 
+# --- certified shell tallies ---------------------------------------------------
+
+def _tally_of_every_row(states_, split):
+    """The tally (see harness._merge) of a stack with every PT floor
+    eigen-solved: the first lowest row keeps the minimum."""
+    floors = np.linalg.eigvalsh(partial_transpose(states_, split))[:, 0]
+    lowest = int(np.argmin(floors))
+    return (len(states_), int(np.count_nonzero(floors >= -PPT_TOL)), float(floors[lowest]),
+            states_[lowest].copy())
+
+
+def _reference_scan_part(total_dim, split, radius, seed, first, stop):
+    """harness._scan_part with every accepted row's PT floor eigen-solved."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(first * 2 * total_dim**2)
+    chunk = shell_chunk(total_dim)
+    tally = (0, 0, np.inf, None)
+    for start in range(first, stop, chunk):
+        batch = states.shell_batch(rng, total_dim, radius, min(chunk, stop - start))
+        if len(batch):
+            tally = harness._merge(tally, _tally_of_every_row(batch, split))
+    return tally
+
+
+def _tally_bytes(tally):
+    accepted, ppt_count, low, state = tally
+    return accepted, ppt_count, np.float64(low).tobytes(), None if state is None else state.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4), (4, 4)]),
+       fraction=st.floats(0.0, 0.99),
+       first=st.integers(0, 40),
+       samples=st.integers(1, 600),
+       seed=st.integers(0, 2**16))
+def test_certified_tally_equals_eigen_solving_every_row(factors, fraction, first, samples, seed):
+    # Radii from the spectral floor to the ball, denser near the floor.
+    split = BipartiteSplit(*factors)
+    floor = 1 / math.sqrt(split.dim * (split.dim - 1))
+    radius = floor + fraction**2 * (math.sqrt((split.dim - 1) / split.dim) - floor)
+    job = (split.dim, split, radius, seed, first, first + samples)
+    assert _tally_bytes(harness._scan_part(*job)) == _tally_bytes(_reference_scan_part(*job))
+
+
+def _npt_shell_states(split, count, seed):
+    """Accepted states of a shell beyond the PPT floor, where PPT and NPT rows mix."""
+    radius = 1.3 / math.sqrt(split.dim * (split.dim - 1))
+    return states.shell_batch(np.random.default_rng(seed), split.dim, radius, count)
+
+
+@pytest.mark.parametrize("factors", [(2, 2), (2, 3), (3, 3), (4, 4)])
+def test_tied_rows_keep_the_earlier_one(factors):
+    # The conjugate of a state has the same PT floor bit for bit but other
+    # bytes, so a tie between the two shows which one the tally keeps.
+    split = BipartiteSplit(*factors)
+    batch = _npt_shell_states(split, 12, sum(factors))
+    floors = np.linalg.eigvalsh(partial_transpose(batch, split))[:, 0]
+    low = int(np.argmin(floors))
+    twin = batch[low].conj()
+    assert twin.tobytes() != batch[low].tobytes()
+    assert np.linalg.eigvalsh(partial_transpose(twin, split))[0] == floors[low]
+    stacks = [
+        np.concatenate([batch, twin[None]]),             # the twin comes last
+        np.concatenate([batch[:low + 1], twin[None], batch[low + 1:]]),
+        np.concatenate([batch, batch[low:low + 1]]),     # a duplicated row
+        np.stack([batch[low], twin, batch[low], twin]),  # nothing but ties
+    ]
+    for stack in stacks:
+        want = _tally_of_every_row(stack, split)
+        assert _tally_bytes(harness._chunk_tally(stack, split, np.inf)) == _tally_bytes(want)
+        assert want[3].tobytes() == batch[low].tobytes()
+    # Across stacks: a later stack that only ties the running minimum loses.
+    first = harness._chunk_tally(batch, split, np.inf)
+    later = harness._chunk_tally(np.concatenate([twin[None], batch]), split, first[2])
+    merged = harness._merge(first, later)
+    assert merged[3].tobytes() == batch[low].tobytes()
+    twin_ppt = int(floors[low] >= -PPT_TOL)
+    assert merged[:3] == (2 * len(batch) + 1, 2 * first[1] + twin_ppt, floors[low])
+
+
+def _werner_at_pt_floor(d, target):
+    """Werner state of local dimension d whose PT floor, (1 - p)/d^2 - p/d,
+    is `target`."""
+    p = (1 / d**2 - target) / (1 / d**2 + 1 / d)
+    return werner(WernerParams(d, p)).matrix
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_later_row_lower_by_less_than_the_margin_wins(d):
+    # Werner rows whose PT floors lie 1e-13 apart, below the margin
+    # (3.6e-13 at N = 4): a certificate cannot order them, the eigen-solve
+    # must, within a stack and across stacks.
+    split = BipartiteSplit(d, d)
+    rows = np.stack([_werner_at_pt_floor(d, -0.01 - k * 1e-13) for k in (0, 1)])
+    floors = np.linalg.eigvalsh(partial_transpose(rows, split))[:, 0]
+    assert floors[1] < floors[0]
+    assert floors[0] - floors[1] < harness.cholesky_margin(split.dim)
+    got = harness._chunk_tally(rows, split, np.inf)
+    assert _tally_bytes(got) == _tally_bytes(_tally_of_every_row(rows, split))
+    first = harness._chunk_tally(rows[:1], split, np.inf)
+    merged = harness._merge(first, harness._chunk_tally(rows[1:], split, first[2]))
+    assert _tally_bytes(merged) == _tally_bytes(got)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_werner_rows_next_to_the_ppt_threshold_get_the_eigensolve_verdict(monkeypatch, d):
+    # PT floors at -PPT_TOL (1 +- 1e-3), 1e-12 from the threshold: inside
+    # the certificate's margin at N = 9 and 16 (2.7e-12, 1.1e-11), so those
+    # rows must be eigen-solved; at N = 4 (margin 3.6e-13) the certificate
+    # may settle them.  Either way ppt_count is the eigen-solve's.
+    split = BipartiteSplit(d, d)
+    near = np.stack([_werner_at_pt_floor(d, -PPT_TOL * (1 + sign * 1e-3))
+                     for sign in (1, -1, 1, -1)])
+    floors = np.linalg.eigvalsh(partial_transpose(near, split))[:, 0]
+    assert ((floors >= -PPT_TOL) == [False, True, False, True]).all()
+    batch = _npt_shell_states(split, 10, d)
+    stack = np.concatenate([batch[:5], near, batch[5:]])
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        solved.extend(x.tobytes() for x in np.reshape(a, (-1,) + np.shape(a)[-2:]))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    got = harness._chunk_tally(stack, split, np.inf)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert _tally_bytes(got) == _tally_bytes(_tally_of_every_row(stack, split))
+    if harness.cholesky_margin(split.dim) > 1e-12:
+        for pt in partial_transpose(near, split):
+            assert pt.tobytes() in solved
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_claim_shell_scan_eigen_solves_at_most_2_percent_of_accepted_rows(monkeypatch, d):
+    # Counted while the shell scan runs, in this process: the PSD and PT
+    # eigen-solves of the sampler and the tally, and the worst state's
+    # validation.  Eigen-solving every accepted row would be 100%.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    solved = []
+    eigvalsh, scan = np.linalg.eigvalsh, harness.shell_scan
+
+    def counted(a, *args, **kwargs):
+        solved.append(1 if np.ndim(a) == 2 else len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def counted_scan(*args, **kwargs):
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        try:
+            return scan(*args, **kwargs)
+        finally:
+            monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+
+    monkeypatch.setattr(harness, "shell_scan", counted_scan)
+    report = claim_check(d, samples=300)
+    accepted = sum(row.accepted for row in report.shells.rows)
+    assert accepted > 900
+    assert 0 < sum(solved) <= 0.02 * accepted
+
+
 # --- spectrum check ----------------------------------------------------------
 
 def test_spectrum_check_2x2():
@@ -613,6 +794,33 @@ def test_claim_report_with_a_forged_radius_fails_verification():
         werner(WernerParams(3, 0.9)).matrix, factors=(3, 3))
     with pytest.raises(ValueError, match="recorded PPT radius 0.9 is not the claimed radius"):
         verify_claim_report(obj)
+
+
+def test_forged_consistent_verdict_fails_verification():
+    # A d = 3 report edited to CONSISTENT, without its counterexample: the
+    # Werner probe, recomputed from its recorded p whatever floor it
+    # records, refutes it, and so do its shell rows within the claim.
+    obj = claim_report_to_dict(claim_check(3, samples=20, base_seed=1), timestamp="t")
+    assert obj["verdict"] == VERDICT_COUNTEREXAMPLE
+    obj["verdict"], obj["counterexample"] = VERDICT_CONSISTENT, None
+    obj["werner_probe"]["min_pt_eigenvalue"] = 0.0
+    with pytest.raises(ValueError, match="CONSISTENT verdict, but the Werner probe at p = "):
+        verify_claim_report(obj)
+    obj["werner_probe"] = None
+    with pytest.raises(ValueError, match="CONSISTENT verdict, but the shell at radius "):
+        verify_claim_report(obj)
+    obj["verdict"] = "PLAUSIBLE"
+    with pytest.raises(ValueError, match="unknown verdict 'PLAUSIBLE'"):
+        verify_claim_report(obj)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_genuine_consistent_qubit_reports_load(tmp_path, seed):
+    report = claim_check(2, samples=100, base_seed=seed)
+    assert report.verdict == VERDICT_CONSISTENT
+    path = tmp_path / "claim2.json"
+    serialize.save_json(claim_report_to_dict(report), path)
+    assert load_claim_report(path)["verdict"] == VERDICT_CONSISTENT
 
 
 def test_claim_report_deterministic_modulo_timestamp():

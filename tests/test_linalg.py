@@ -1,8 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
-from pptgeo.linalg import DimensionMismatch, NotHermitian, as_hermitian, hs_distance
-from pptgeo.states import WernerParams, maximally_mixed, werner
+from pptgeo.bipartite import PPT_TOL
+from pptgeo.linalg import (
+    DimensionMismatch,
+    NotHermitian,
+    as_hermitian,
+    cholesky_margin,
+    cholesky_passes,
+    hs_distance,
+    min_eig_at_least,
+)
+from pptgeo.states import SHELL_PSD_TOL, WernerParams, maximally_mixed, sample_hs, werner
 
 from conftest import random_hermitian
 
@@ -70,3 +82,105 @@ def test_distance_symmetry(rng):
     a = random_hermitian(rng, 5)
     b = random_hermitian(rng, 5)
     assert hs_distance(a, b) == hs_distance(b, a)
+
+
+# --- Cholesky certificate ----------------------------------------------------
+
+def _with_spectra(rng, spectra):
+    """U diag(lambda) U† for each row of `spectra`, U Haar-random, symmetrized
+    so that each matrix equals its conjugate transpose bit for bit."""
+    dim = spectra.shape[1]
+    out = []
+    for lam in spectra:
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        a = (u * lam) @ u.conj().T
+        out.append((a + a.conj().T) / 2)
+    return np.stack(out)
+
+
+def _unit_trace_spectra(rng, dim, lowest):
+    """Spectra of N = dim entries and unit trace, one per value of `lowest`,
+    which is each one's smallest entry; the others spread over [1, 2]
+    times their mean, so the HS norm stays below 1."""
+    rest = rng.uniform(1.0, 2.0, size=(len(lowest), dim - 1))
+    rest *= (1.0 - lowest[:, None]) / rest.sum(axis=1, keepdims=True)
+    return np.column_stack([lowest, rest])
+
+
+@pytest.mark.parametrize("dim", [4, 9, 16, 36])
+@pytest.mark.parametrize("shift", [-0.3, -PPT_TOL, -SHELL_PSD_TOL, 0.0, 0.01])
+def test_cholesky_certificate_two_margins_from_the_shift(monkeypatch, dim, shift):
+    # Smallest eigenvalue shift +- 2 margins: the factorization decides which
+    # side it lies on, and min_eig_at_least settles every row without an
+    # eigen-solve and agrees with the one it skips.
+    rng = np.random.default_rng(dim)
+    margin = cholesky_margin(dim)
+    lowest = shift + np.tile([2 * margin, -2 * margin], 8)
+    stack = _with_spectra(rng, _unit_trace_spectra(rng, dim, lowest))
+    above = lowest > shift
+    assert np.linalg.norm(stack, axis=(1, 2)).max() < 1.0
+    solved = np.linalg.eigvalsh(stack)[:, 0]
+    assert ((solved > shift) == above).all()
+    assert (cholesky_passes(stack, shift) == above).all()
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigen-solve of a row two margins from the threshold")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    assert (min_eig_at_least(stack, shift) == above).all()
+
+
+@pytest.mark.parametrize("dim", [4, 9, 16])
+def test_shell_candidates_next_to_the_psd_threshold_go_to_the_eigensolve(monkeypatch, dim):
+    # I/N + s (rho0 - I/N) with its smallest eigenvalue placed at
+    # -SHELL_PSD_TOL +- 1e-13, inside the margin (3.6e-13 at N = 4):
+    # the certificate must leave each to eigvalsh and return its verdict.
+    rng = np.random.default_rng(dim)
+    eye = np.eye(dim) / dim
+    candidates = []
+    for target in np.tile([-SHELL_PSD_TOL + 1e-13, -SHELL_PSD_TOL - 1e-13], 4):
+        rho = sample_hs(rng, dim).matrix
+        scale = (1 / dim - target) / (1 / dim - np.linalg.eigvalsh(rho)[0])
+        candidates.append(as_hermitian(eye + scale * (rho - eye)))
+    stack = np.stack(candidates)
+    want = np.linalg.eigvalsh(stack)[:, 0] >= -SHELL_PSD_TOL
+    assert want.tolist() == [True, False] * 4
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        solved.extend(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert (min_eig_at_least(stack, -SHELL_PSD_TOL) == want).all()
+    assert len(solved) == len(stack)
+
+
+def test_stacked_cholesky_kernel_leaves_nan_in_failing_rows():
+    # cholesky_passes relies on numpy's stacked kernel returning NaN rows
+    # where np.linalg.cholesky raises for the whole stack; a numpy that
+    # changes this fails here by name.
+    stack = np.stack([np.eye(3), -np.eye(3), np.diag([1.0, 1.0, -1.0]),
+                      np.diag([2.0, 1.0, 0.5]), np.diag([1.0, 0.0, 1.0])]).astype(np.complex128)
+    with np.errstate(invalid="ignore"):
+        factor = _umath_linalg.cholesky_lo(stack, signature="D->D")
+    for i in (0, 3):
+        assert factor[i].tobytes() == np.linalg.cholesky(stack[i]).tobytes()
+    for i in (1, 2, 4):
+        assert np.isnan(factor[i]).all()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cholesky_passes(stack, 0.0).tolist() == [True, False, False, True, False]
+        assert cholesky_passes(stack, -1.5).all()
+    assert cholesky_passes(stack[:0], 0.0).shape == (0,)
+
+
+def test_cholesky_margin_values():
+    # 100 N^2.5 u with u = 2^-53.
+    assert cholesky_margin(4) == pytest.approx(3.55e-13, rel=1e-2)
+    assert cholesky_margin(36) == pytest.approx(8.63e-11, rel=1e-2)
+    assert cholesky_margin(36) < PPT_TOL / 10
