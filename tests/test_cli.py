@@ -230,12 +230,22 @@ GOLDEN_DIGESTS = [
     (["shell-scan", "--N", "16", "--split", "4x4", "--radii", "0.12,0.16,0.2,0.24,0.27",
       "--samples", "500", "--seed", "3"],
      "ad7a8814e7937d5f1eb98e60b521da17229045e9903ae04499c2f4a9aa42afa4"),
+    # Every radius lies past r_hs(N) (0.470 at N = 4, 0.329 at N = 9), where
+    # the single-precision screen runs: from shells that still accept
+    # samples to one near the outer radius that accepts none.
+    (["shell-scan", "--N", "4", "--split", "2x2", "--radii", "0.48,0.55,0.62,0.69,0.85",
+      "--samples", "2000", "--seed", "5"],
+     "01e1518be58d3d487d90e38414c19c3cf06c2043ff068dcdb27ca99dc6b2fc88"),
+    (["shell-scan", "--N", "9", "--split", "3x3", "--radii", "0.34,0.37,0.4,0.43,0.9",
+      "--samples", "2000", "--seed", "6"],
+     "701ed264584c857abe4c70c87426fe9c6b5043b57e2186500e9c2906ed137d6a"),
 ]
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN_DIGESTS,
                          ids=["shell-scan-3x3", "shell-scan-2x3", "claim-check-d3",
-                              "claim-check-d4", "shell-scan-4x4"])
+                              "claim-check-d4", "shell-scan-4x4", "shell-scan-2x2-screen",
+                              "shell-scan-3x3-screen"])
 def test_output_matches_golden_digest(tmp_path, args, digest):
     out = tmp_path / "report.out"
     assert main(args + ["--out", str(out)]) == 0
