@@ -19,9 +19,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .bipartite import BipartiteSplit, is_ppt
 from .linalg import hs_distance
-from .states import DensityMatrix, maximally_mixed
+from .states import DensityMatrix
 
 
 class UnsupportedDim(ValueError):
@@ -149,7 +151,7 @@ def classify(rho: DensityMatrix, split: BipartiteSplit, table: BoundsTable) -> Z
         raise UnsupportedDim(
             f"table is for N = {table.total_dim}, state has N = {rho.dim}"
         )
-    dist = hs_distance(rho.matrix, maximally_mixed(rho.dim).matrix)
+    dist = hs_distance(rho.matrix, np.eye(rho.dim) / rho.dim)
     if dist <= table.separable_radius:
         zone = Zone.SEPARABLE_BALL
     elif dist <= table.ppt_radius:

@@ -41,7 +41,6 @@ from .states import (
     DensityMatrix,
     PureState,
     WernerParams,
-    maximally_mixed,
     shell_batch,
     shell_chunk,
     standard_normals,
@@ -53,7 +52,6 @@ from .workers import pool_map
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_COUNTEREXAMPLE = "COUNTEREXAMPLE_FOUND"
 
-NEGATIVITY_TOL = 1e-9
 SPECTRUM_TOL = 1e-9
 CLAIM_SHELL_SCALES = (0.5, 0.9, 0.99, 1.0)
 DEFAULT_SAMPLES_PER_SHELL = 2000
@@ -106,11 +104,19 @@ class SweepReport:
     oracle_pm: float
 
 
-def _werner_min_pt(d: int, split: BipartiteSplit, p: float) -> float:
-    """`is_ppt(werner(WernerParams(d, p)), split).min_pt_eigenvalue`, solved
-    from the same symmetrized matrix without validating it as a state."""
+def _werner_floor(d: int, p: float) -> tuple[np.ndarray, float]:
+    """The matrix `werner(WernerParams(d, p))` stores, built without validating
+    it as a state, and its smallest partial-transpose eigenvalue."""
     matrix = as_hermitian(werner_matrix(WernerParams(d, p)))
-    return float(min_pt_eigenvalues(matrix[None], split)[0])
+    return matrix, float(min_pt_eigenvalues(matrix[None], BipartiteSplit(d, d))[0])
+
+
+def _werner_point(d: int, p: float) -> tuple[float, float]:
+    """(HS distance from I/N, smallest PT eigenvalue) of the d (x) d Werner
+    state at mixing p: the values `hs_distance` and `is_ppt` give for
+    `werner(WernerParams(d, p))`, bit for bit."""
+    matrix, floor = _werner_floor(d, p)
+    return hs_distance(matrix, np.eye(d * d) / (d * d)), floor
 
 
 def werner_sweep(qudit_dim: int, grid_points: int = 21) -> SweepReport:
@@ -120,27 +126,17 @@ def werner_sweep(qudit_dim: int, grid_points: int = 21) -> SweepReport:
         raise ValueError(f"qudit_dim must lie in 2..8, got {d}")
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    total = d * d
-    split = BipartiteSplit(d, d)
-    eye = maximally_mixed(total)
-
     rows = []
     for p in np.linspace(0.0, 1.0, grid_points):
-        state = werner(WernerParams(d, float(p)))
-        check = is_ppt(state, split)
-        rows.append(SweepRow(
-            p=float(p),
-            distance=hs_distance(state.matrix, eye.matrix),
-            min_pt_eig=check.min_pt_eigenvalue,
-            ppt=check.ppt,
-        ))
+        distance, floor = _werner_point(d, float(p))
+        rows.append(SweepRow(p=float(p), distance=distance, min_pt_eig=floor, ppt=floor >= -PPT_TOL))
 
-    p_star = bisect_decreasing(lambda p: _werner_min_pt(d, split, p), 0.0, 1.0)
+    p_star = bisect_decreasing(lambda p: _werner_floor(d, p)[1], 0.0, 1.0)
     return SweepReport(
         qudit_dim=d,
         rows=tuple(rows),
         p_star=p_star,
-        paper_pm=werner_pm(total),
+        paper_pm=werner_pm(d * d),
         oracle_pm=1.0 / (d + 1),
     )
 
@@ -425,26 +421,21 @@ def claim_check(qudit_dim: int, samples: int = DEFAULT_SAMPLES_PER_SHELL,
                         base_seed=base_seed, capture_worst=True)
     spectrum = spectrum_check([split], trials=50, seed=base_seed)
 
-    probe = probe_state = None
+    probe = None
     if sweep.p_star < sweep.paper_pm:
         p_mid = (sweep.p_star + sweep.paper_pm) / 2
-        probe_state = werner(WernerParams(d, p_mid))
-        probe = WernerProbe(
-            p=p_mid,
-            distance=hs_distance(probe_state.matrix, maximally_mixed(total).matrix),
-            min_pt_eig=is_ppt(probe_state, split).min_pt_eigenvalue,
-        )
+        probe = WernerProbe(p_mid, *_werner_point(d, p_mid))
 
     counterexample = None
-    if probe is not None and probe.min_pt_eig < -NEGATIVITY_TOL and probe.distance <= table.ppt_radius:
+    if probe is not None and probe.min_pt_eig < -PPT_TOL and probe.distance <= table.ppt_radius:
         counterexample = Counterexample(
             source="werner-probe",
-            state=probe_state,
+            state=werner(WernerParams(d, probe.p)),
             split=split,
             distance=probe.distance,
             min_pt_eig=probe.min_pt_eig,
         )
-    elif shells.worst_state is not None and shells.worst_min_pt < -NEGATIVITY_TOL:
+    elif shells.worst_state is not None and shells.worst_min_pt < -PPT_TOL:
         counterexample = Counterexample(
             source="shell-scan",
             state=shells.worst_state,
@@ -567,8 +558,11 @@ def verify_claim_report(obj: dict) -> dict:
     refuted by the report itself: neither its Werner probe, recomputed from
     the recorded `p`, nor any shell row recorded at a radius up to the
     claim may show a PT eigenvalue below -1e-9 within the claimed radius.
-    Either way the radius the report records must be the claimed one.
-    Raises ValueError otherwise.
+    Before anything is recomputed, its `qudit_dim` must be an integer in
+    2..6, its probe's `p` a number in [0, 1], and each shell row must start
+    with a numeric radius and end with a numeric PT floor.  Either way the
+    radius the report records must be the claimed one.  Raises ValueError,
+    naming the field where one is malformed, otherwise.
     """
     verdict = obj["verdict"]
     if verdict == VERDICT_COUNTEREXAMPLE:
@@ -581,30 +575,37 @@ def verify_claim_report(obj: dict) -> dict:
         state = DensityMatrix(dim=matrix.shape[0], matrix=matrix)
         split = BipartiteSplit(*factors)
         claimed = _claimed_radius(obj, state.dim)
-        distance = hs_distance(state.matrix, maximally_mixed(state.dim).matrix)
+        distance = hs_distance(state.matrix, np.eye(state.dim) / state.dim)
         check = is_ppt(state, split)
         if distance > claimed + 1e-12:
             raise ValueError(f"counterexample distance {distance} exceeds claimed radius {claimed}")
-        if check.min_pt_eigenvalue >= -NEGATIVITY_TOL:
+        if check.min_pt_eigenvalue >= -PPT_TOL:
             raise ValueError(
-                f"counterexample PT floor {check.min_pt_eigenvalue} is not below {-NEGATIVITY_TOL}"
+                f"counterexample PT floor {check.min_pt_eigenvalue} is not below {-PPT_TOL}"
             )
     elif verdict == VERDICT_CONSISTENT:
         d = obj["qudit_dim"]
-        claimed = _claimed_radius(obj, d * d)
+        if not (serialize.is_int(d) and 2 <= d <= 6):
+            raise ValueError(f"'qudit_dim' must be an integer in 2..6, got {d!r}")
         probe = obj["werner_probe"]
+        if probe is not None and not (serialize.is_number(probe["p"]) and 0.0 <= probe["p"] <= 1.0):
+            raise ValueError(f"'werner_probe' 'p' must be a number in [0, 1], got {probe['p']!r}")
+        rows = obj["shell_scan"]["rows"]
+        for index, row in enumerate(rows):
+            if not (isinstance(row, list) and row and serialize.is_number(row[0])
+                    and serialize.is_number(row[-1])):
+                raise ValueError(f"'shell_scan' row {index} lacks a numeric radius and PT floor: {row!r}")
+        claimed = _claimed_radius(obj, d * d)
         if probe is not None:
-            state = werner(WernerParams(d, probe["p"]))
-            distance = hs_distance(state.matrix, maximally_mixed(d * d).matrix)
-            floor = is_ppt(state, BipartiteSplit(d, d)).min_pt_eigenvalue
-            if distance <= claimed and floor < -NEGATIVITY_TOL:
+            distance, floor = _werner_point(d, probe["p"])
+            if distance <= claimed and floor < -PPT_TOL:
                 raise ValueError(
                     f"CONSISTENT verdict, but the Werner probe at p = {probe['p']!r} has PT "
                     f"floor {floor} at distance {distance} within the claimed radius {claimed}"
                 )
-        for row in obj["shell_scan"]["rows"]:
+        for row in rows:
             radius, min_pt = row[0], row[-1]
-            if radius <= claimed and min_pt < -NEGATIVITY_TOL:
+            if radius <= claimed and min_pt < -PPT_TOL:
                 raise ValueError(
                     f"CONSISTENT verdict, but the shell at radius {radius!r} within the claimed "
                     f"radius {claimed} records PT floor {min_pt}"

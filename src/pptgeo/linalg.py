@@ -87,9 +87,10 @@ def cholesky_margin(dim: int) -> float:
     return 100.0 * dim**2.5 * np.finfo(np.float64).eps / 2
 
 
-def cholesky_passes(stack: np.ndarray, shift: float) -> np.ndarray:
+def cholesky_passes(stack: np.ndarray, shift: float | np.ndarray) -> np.ndarray:
     """Whether A - shift I passes a Cholesky factorization, for each matrix A
-    of a (k, N, N) Hermitian stack: a bool per matrix.
+    of a (k, N, N) Hermitian stack: a bool per matrix.  `shift` is a scalar
+    or one value per matrix (the shell screen's threshold differs by row).
 
     One call of numpy's stacked kernel (`np.linalg.cholesky` calls the
     same one), which leaves NaN in the factor of a matrix that fails where
@@ -100,7 +101,7 @@ def cholesky_passes(stack: np.ndarray, shift: float) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     shifted = np.array(stack, dtype=np.complex128)
     dim = shifted.shape[-1]
-    shifted.reshape(len(shifted), dim * dim)[:, :: dim + 1] -= shift
+    shifted.reshape(len(shifted), dim * dim)[:, :: dim + 1] -= np.reshape(shift, (-1, 1))
     with np.errstate(invalid="ignore"):
         factor = _umath_linalg.cholesky_lo(shifted, signature="D->D", out=shifted)
     return ~np.isnan(factor[:, -1, -1].real)

@@ -63,11 +63,11 @@ def vector_to_json(amplitudes: np.ndarray, factors: tuple[int, int] | None = Non
     return obj
 
 
-def _is_number(x) -> bool:
+def is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _is_int(x) -> bool:
+def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -80,7 +80,7 @@ def array_from_json(obj: dict) -> tuple[np.ndarray, tuple[int, int] | None]:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object with 'dim' and 'data' fields")
     dim = obj.get("dim")
-    if not _is_int(dim) or dim < 1:
+    if not is_int(dim) or dim < 1:
         raise ValueError(f"'dim' must be a positive integer, got {dim!r}")
     if "data" not in obj:
         raise ValueError("missing field 'data'")
@@ -88,7 +88,7 @@ def array_from_json(obj: dict) -> tuple[np.ndarray, tuple[int, int] | None]:
     if not isinstance(data, list):
         raise ValueError("'data' must be a list of [re, im] pairs")
     for index, entry in enumerate(data):
-        if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry))):
+        if not (isinstance(entry, list) and len(entry) == 2 and all(map(is_number, entry))):
             raise ValueError(f"'data' entry {index} is not a [re, im] pair: {entry!r}")
     flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
     if flat.size == dim * dim:
@@ -99,7 +99,7 @@ def array_from_json(obj: dict) -> tuple[np.ndarray, tuple[int, int] | None]:
         raise ValueError(f"data length {flat.size} matches neither {dim}^2 nor {dim}")
     factors = obj.get("factors")
     if factors is not None:
-        if not (isinstance(factors, list) and len(factors) == 2 and all(map(_is_int, factors))):
+        if not (isinstance(factors, list) and len(factors) == 2 and all(map(is_int, factors))):
             raise ValueError(f"'factors' must be an [m, n] pair of integers, got {factors!r}")
         factors = (factors[0], factors[1])
         if factors[0] * factors[1] != dim:

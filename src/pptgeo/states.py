@@ -10,8 +10,8 @@ order, and the PSD test settles rows by closed-form bounds, then by a
 Cholesky certificate (see `shell_batch`), and eigen-solves only the rows
 both leave open.  Beyond the typical HS distance of a random state, where
 most attempts are rejects, a single-precision screen first drops the
-attempts it certifies as rejects by SCREEN_MARGIN; the rest take the exact
-float64 path, so the output stays bit-identical.
+attempts that the same Cholesky certificate proves rejects by SCREEN_MARGIN;
+the rest take the exact float64 path, so the output stays bit-identical.
 The generator identity string is recorded in every report header.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatch, as_hermitian, min_eig_at_least
+from .linalg import DimensionMismatch, as_hermitian, cholesky_margin, cholesky_passes, min_eig_at_least
 
 GENERATOR_ID = "pcg64+box-muller"
 
@@ -34,10 +34,10 @@ PURE_NORM_TOL = 1e-12
 SHELL_PSD_TOL = 1e-12
 # Beyond the typical HS distance (`_typical_hs_radius`) most shell candidates
 # are rejects, and a screen on single-precision normals drops the rows whose
-# upper bound on the candidate's smallest eigenvalue lies below
-# -SCREEN_MARGIN before the exact path runs.  Rounding the normals to float32
-# moves that bound by order eps32 * s (below 2e-7 for N = 4..64 on 10,500
-# rows), so a screened row is a reject by a wide margin.
+# candidate a Cholesky certificate proves to have its smallest eigenvalue
+# below -SCREEN_MARGIN before the exact path runs.  Rounding the normals to
+# float32 moves that eigenvalue by order eps32 * s (below 1e-7 for
+# N = 4..64), so a screened row is a reject by a wide margin.
 SCREEN_MARGIN = 1e-4
 # Shell samples are stacked so that one N x N complex stack takes about this
 # many bytes: 256 samples at N = 4, 16 at N = 16.  It bounds peak memory.
@@ -91,9 +91,6 @@ class DensityMatrix:
         if lo < -DENSITY_PSD_TOL:
             raise ValueError(f"smallest eigenvalue {lo:.3e} below -{DENSITY_PSD_TOL:.1e}")
         object.__setattr__(self, "matrix", m)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,12 +211,11 @@ def _scale_rows(x: np.ndarray, factors: np.ndarray) -> None:
     parts *= factors[:, None]
 
 
-def _shift_diagonal(x: np.ndarray, value: float | np.ndarray) -> None:
+def _shift_diagonal(x: np.ndarray, value: float) -> None:
     """Add value * I to each matrix of a (k, N, N) complex stack, in place, on
-    the real diagonal only: `x + value * I` adds zero everywhere else.
-    `value` is a scalar or one value per matrix."""
+    the real diagonal only: `x + value * I` adds zero everywhere else."""
     diagonal = x.reshape(len(x), -1)[:, :: x.shape[1] + 1].real
-    diagonal += np.reshape(value, (-1, 1))
+    diagonal += value
 
 
 def _psd_bounds(dim: int, scale: np.ndarray, radius: float) -> np.ndarray:
@@ -240,35 +236,20 @@ def _typical_hs_radius(dim: int) -> float:
 
 
 def _screen_rejects(u: np.ndarray, dim: int, radius: float) -> np.ndarray:
-    """Rows of shell uniforms (count, 2, N^2) whose candidates a bound from
-    single-precision normals certifies as rejects (see shell_batch)."""
+    """Rows of shell uniforms (count, 2, N^2) whose candidates a Cholesky
+    certificate on single-precision normals proves rejects (see shell_batch)."""
     count = len(u)
     re, im = _box_muller(u, np.float32)
     g = (re + 1j * im).astype(np.complex128).reshape(count, dim, dim)
     w = g @ g.conj().transpose(0, 2, 1)
-    diagonal = np.diagonal(w, axis1=1, axis2=2).real
-    trace = diagonal.sum(axis=1)
+    trace = _stacked_traces(w)
     flat = w.reshape(count, dim * dim).view(np.float64)
     scale = radius / np.sqrt(np.einsum("ij,ij->i", flat, flat) / (trace * trace) - 1.0 / dim)
-
-    def certified(upper, scale):
-        return 1.0 / dim - scale * (1.0 / dim - upper) < -SCREEN_MARGIN
-
-    reject = certified(diagonal.min(axis=1) / trace, scale)
-    # No bound can certify a row with 1/N - s/N >= -SCREEN_MARGIN, since
-    # lambda_min(rho0) >= 0; the rest take the Cholesky bound.
-    open_rows = ~reject & (scale > 1.0 + dim * SCREEN_MARGIN)
-    if open_rows.any():
-        # Rounding can leave a near-singular w indefinite.  The shift bounds
-        # that rounding, so the factorization cannot fail, and taking it off
-        # again keeps the bound: lambda_min(w) = lambda_min(w + shift I) - shift.
-        shift = 4 * dim * np.finfo(np.float64).eps * trace[open_rows]
-        gram = w[open_rows]
-        _shift_diagonal(gram, shift)
-        pivots = np.diagonal(np.linalg.cholesky(gram), axis1=1, axis2=2).real
-        upper = ((pivots * pivots).min(axis=1) - shift) / trace[open_rows]
-        reject[open_rows] = certified(upper, scale[open_rows])
-    return reject
+    w /= trace[:, None, None]
+    # The candidate's smallest eigenvalue lies below -SCREEN_MARGIN exactly
+    # when lambda_min(rho0) lies below this threshold.
+    threshold = 1.0 / dim - (1.0 / dim + SCREEN_MARGIN) / scale
+    return ~cholesky_passes(w, threshold - cholesky_margin(dim))
 
 
 def shell_batch(rng: np.random.Generator, dim: int, radius: float, count: int) -> np.ndarray:
@@ -309,15 +290,16 @@ def shell_batch(rng: np.random.Generator, dim: int, radius: float, count: int) -
     every candidate has s > 1 and most are rejects.  There the uniforms
     first pass a screen (`_screen_rejects`) built on a float32 Box-Muller
     transform, whose cosine and sine cost a tenth of the float64 ones:
-    the Gram matrix w = G G† of those normals, t = tr w,
+    the Gram matrix w = G G† of those normals, t = tr w, rho0 = w / t,
     ||Delta||^2 = ||w||_F^2 / t^2 - 1/N, and, since s > 0, the exact
     smallest eigenvalue 1/N - s (1/N - lambda_min(rho0)) of the candidate.
-    Any U >= lambda_min(rho0) bounds it from above: min diag(w) / t, or,
-    for rows that bound leaves open, min_i |L_ii|^2 / t from a Cholesky
-    factor w = L L†, since sigma_min(L)^2 <= |L_ii|^2 for a triangular L.
-    A row whose bound lies below -SCREEN_MARGIN is dropped; the margin is
-    far above what the float32 normals move the bound, so each dropped row
-    is one the exact path rejects.  The surviving rows' uniforms go through
+    It lies below -SCREEN_MARGIN exactly when lambda_min(rho0) lies below
+    tau = 1/N - (1/N + SCREEN_MARGIN) / s, and a row is dropped when
+    rho0 - (tau - m) I fails to factor (`cholesky_passes`), which proves
+    that.  (Beyond r_hs, s > r_hs(N) / sqrt((N-1)/N) > 1/sqrt(N), so
+    |tau| < 1, as `cholesky_margin` assumes.)  SCREEN_MARGIN is far above
+    what the float32 normals move the eigenvalue, so each dropped row is
+    one the exact path rejects.  The surviving rows' uniforms go through
     the float64 path unchanged, so output and stream stay bit-identical.
     Inside r_hs the screen never runs, and every claimed PPT radius
     (`claim_check`, d = 2..6) lies inside it: at d = 2 the claim is

@@ -39,7 +39,8 @@ from pptgeo.harness import (
     verify_claim_report,
     werner_sweep,
 )
-from pptgeo.states import PureState, WernerParams, shell_chunk, werner
+from pptgeo.linalg import hs_distance
+from pptgeo.states import PureState, WernerParams, maximally_mixed, shell_chunk, werner
 
 from conftest import werner_min_pt_oracle
 
@@ -107,15 +108,21 @@ def test_sweep_rows_ordered_and_strictly_decreasing():
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_werner_bisection_solves_the_stored_matrix_without_validating_it(monkeypatch, d):
+    # The bisection's PT floor, and the distance and floor of the sweep rows
+    # and the probe, are those of the validated Werner state, bit for bit.
     split = BipartiteSplit(d, d)
     grid = [float(p) for p in np.linspace(0.0, 1.0, 41)]
-    want = [is_ppt(werner(WernerParams(d, p)), split).min_pt_eigenvalue for p in grid]
+    eye = maximally_mixed(d * d).matrix
+    family = [werner(WernerParams(d, p)) for p in grid]
+    want = [(hs_distance(w.matrix, eye), is_ppt(w, split).min_pt_eigenvalue) for w in family]
 
     def no_validation(self):
         raise AssertionError("a DensityMatrix was validated in the bisection")
 
     monkeypatch.setattr(states.DensityMatrix, "__post_init__", no_validation)
-    got = [harness._werner_min_pt(d, split, p) for p in grid]
+    floors = [harness._werner_floor(d, p)[1] for p in grid]
+    got = [harness._werner_point(d, p) for p in grid]
+    assert np.array(floors).tobytes() == np.array([f for _, f in want]).tobytes()
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
@@ -754,6 +761,24 @@ def test_claim_check_d4_counterexample_expected():
     assert probe.min_pt_eig == pytest.approx(werner_min_pt_oracle(4, probe.p), abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_claim_check_validates_at_most_two_states(monkeypatch, d):
+    # The Werner rows, bisection and probe are evaluated on unvalidated
+    # matrices; only the states a report carries are validated: the shell
+    # scan's worst state and a Werner-probe counterexample.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    validated = []
+    validate = states.DensityMatrix.__post_init__
+
+    def counted(self):
+        validated.append(self.dim)
+        validate(self)
+
+    monkeypatch.setattr(states.DensityMatrix, "__post_init__", counted)
+    claim_check(d, samples=300, base_seed=0)
+    assert len(validated) <= 2
+
+
 def test_claim_check_validates_domain():
     with pytest.raises(ValueError):
         claim_check(7)
@@ -811,6 +836,37 @@ def test_forged_consistent_verdict_fails_verification():
         verify_claim_report(obj)
     obj["verdict"] = "PLAUSIBLE"
     with pytest.raises(ValueError, match="unknown verdict 'PLAUSIBLE'"):
+        verify_claim_report(obj)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("qudit_dim", 3000, "'qudit_dim' must be an integer in 2..6, got 3000"),
+    ("qudit_dim", 3.5, "'qudit_dim' must be an integer in 2..6, got 3.5"),
+    ("qudit_dim", True, "'qudit_dim' must be an integer in 2..6, got True"),
+    ("p", "0.3", "'werner_probe' 'p' must be a number in [0, 1], got '0.3'"),
+    ("p", 1.5, "'werner_probe' 'p' must be a number in [0, 1], got 1.5"),
+    ("p", float("nan"), "'werner_probe' 'p' must be a number in [0, 1], got nan"),
+    ("row", ["0.1", 500, 0.0], "'shell_scan' row 0 lacks a numeric radius and PT floor"),
+    ("row", [0.1, 500, None], "'shell_scan' row 0 lacks a numeric radius and PT floor"),
+    ("row", [], "'shell_scan' row 0 lacks a numeric radius and PT floor"),
+])
+def test_forged_consistent_report_fields_raise_value_error(field, value, message):
+    # A CONSISTENT report whose fields would make the recomputation allocate
+    # a Werner state at N = 9,000,000 or fail on a type: each is refused by
+    # name before anything is recomputed.  A forged numeric qudit_dim comes
+    # with its own claimed radius, so only the domain check stands in the way.
+    obj = claim_report_to_dict(claim_check(2, samples=20, base_seed=1), timestamp="t")
+    assert obj["verdict"] == VERDICT_CONSISTENT
+    obj["werner_probe"] = {"p": 0.3, "distance": 0.0, "min_pt_eigenvalue": 0.0}
+    if field == "qudit_dim":
+        obj["qudit_dim"] = value
+        if not isinstance(value, bool):
+            obj["bounds"]["ppt_radius"] = harness.ppt_radius(value * value)
+    elif field == "p":
+        obj["werner_probe"]["p"] = value
+    else:
+        obj["shell_scan"]["rows"][0] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
         verify_claim_report(obj)
 
 

@@ -2,6 +2,7 @@
 outside the unit tests, and imports are used."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -56,19 +57,28 @@ def references(path: Path) -> list[tuple[str, str | None]]:
     return refs
 
 
+def exported_members() -> set[str]:
+    """Names of the public methods and properties of the exported classes."""
+    classes = [obj for obj in map(pptgeo.__dict__.get, pptgeo.__all__) if isinstance(obj, type)]
+    return {name for cls in classes for name, value in vars(cls).items()
+            if not name.startswith("_") and (inspect.isfunction(value) or isinstance(value, property))}
+
+
 def test_every_export_has_a_non_test_user():
-    # An export is used when code outside its own definition refers to it;
-    # a reference inside another export counts only once that one is used.
+    # An export, or a public method or property of an exported class, is used
+    # when code outside its own definition refers to it; a reference inside
+    # another export counts only once that one is used.
     exports = set(pptgeo.__all__) - {"__version__"}
+    names = exports | exported_members()
     refs = [(name, owner) for path in USER_FILES for name, owner in references(path)
-            if name in exports and name != owner]
+            if name in names and name != owner]
     used = set()
     while True:
         now = {name for name, owner in refs if owner not in exports or owner in used}
         if now == used:
             break
         used = now
-    assert sorted(exports - used) == []
+    assert sorted(names - used) == []
 
 
 def test_every_export_resolves():

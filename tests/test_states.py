@@ -90,7 +90,8 @@ def test_pure_density_bell_corners():
 def test_pure_density_is_rank_one(rng):
     g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     psi = PureState(dim=6, amplitudes=g / np.linalg.norm(g))
-    assert _projector(psi).purity() == pytest.approx(1.0, abs=1e-12)
+    rho = _projector(psi).matrix
+    assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_werner_p0_is_maximally_mixed():
@@ -150,7 +151,8 @@ def test_ginibre_shape_and_determinism():
 def test_sample_hs_purity_bounds():
     for seed in range(50):
         dim = 2 + seed % 5
-        purity = sample_hs(np.random.default_rng(seed), dim).purity()
+        rho = sample_hs(np.random.default_rng(seed), dim).matrix
+        purity = np.trace(rho @ rho).real
         assert 1 / dim - 1e-12 <= purity <= 1 + 1e-12
 
 
@@ -221,10 +223,12 @@ def test_shell_acceptance_nonincreasing_report():
 # inside the floor, where every row is a certified accept; the middle two mix
 # PPT and NPT samples and also reject some attempts; the last sits at 0.95 of
 # the outer radius sqrt((N-1)/N) = (N-1) floors, beyond r_hs(N), where the
-# single-precision screen drops most rows.
+# single-precision screen drops most rows.  At N = 25 the screen drops every
+# row at 5.0 floors, just beyond r_hs(25) = 4.89 floors, so 4.8 floors, just
+# inside it, adds rows that the closed-form bounds leave to the certificate.
 SHELL_CASES = {4: ((2, 2), (0.9, 1.5, 2.0, 2.85)), 6: ((2, 3), (0.9, 1.7, 2.2, 4.75)),
                8: ((2, 4), (0.9, 2.0, 2.6, 6.65)), 9: ((3, 3), (0.9, 2.2, 2.8, 7.6)),
-               16: ((4, 4), (0.9, 2.2, 3.8, 14.25)), 25: ((5, 5), (0.9, 3.0, 5.0, 22.8))}
+               16: ((4, 4), (0.9, 2.2, 3.8, 14.25)), 25: ((5, 5), (0.9, 3.0, 4.8, 5.0, 22.8))}
 
 
 def test_shell_chunk_budget():
@@ -341,15 +345,15 @@ def test_screen_drops_only_exact_rejects(dim):
         assert not np.any(drop & ~exact), f"screened an exact accept at r={radius}"
         screened += int(drop.sum())
         rejects += int(exact.sum())
-    assert screened >= 0.75 * rejects, f"screened {screened} of {rejects} exact rejects"
+    assert screened >= 0.99 * rejects, f"screened {screened} of {rejects} exact rejects"
 
 
 def test_screen_on_constructed_rows():
     dim, radius = 4, 0.6  # beyond r_hs(4) = 0.4697
     rng = np.random.default_rng(5)
     # rho0 = P / (N - 1), P = I - |phi><phi| for the uniform unit vector phi:
-    # an equal diagonal 1/N and lambda_min(rho0) = 0.  The diagonal bound
-    # leaves these rows open and the Cholesky bound certifies them.
+    # an equal diagonal 1/N and lambda_min(rho0) = 0, so no bound on the
+    # diagonal alone could certify these rows; the Cholesky certificate does.
     proj = np.eye(dim) - np.full((dim, dim), 1.0 / dim)
     unitaries = [np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
                  for _ in range(4)]
