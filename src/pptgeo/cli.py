@@ -9,6 +9,7 @@ from the claim-check timestamp.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -45,17 +46,16 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
-def _load_density(path: str) -> tuple[DensityMatrix, tuple[int, int] | None]:
+def _load_state(path: str, ndim: int):
+    """The density matrix (ndim 2) or state vector (ndim 1) stored at `path`,
+    with the factors it records."""
     arr, factors = serialize.array_from_json(serialize.load_json(path))
-    if arr.ndim != 2:
-        raise ValueError(f"{path} holds a vector; a density matrix is required")
-    return DensityMatrix(dim=arr.shape[0], matrix=arr), factors
-
-
-def _load_pure(path: str) -> tuple[PureState, tuple[int, int] | None]:
-    arr, factors = serialize.array_from_json(serialize.load_json(path))
-    if arr.ndim != 1:
-        raise ValueError(f"{path} holds a matrix; a state vector is required")
+    if arr.ndim != ndim:
+        held, wanted = (("a vector", "a density matrix") if ndim == 2
+                        else ("a matrix", "a state vector"))
+        raise ValueError(f"{path} holds {held}; {wanted} is required")
+    if ndim == 2:
+        return DensityMatrix(dim=arr.shape[0], matrix=arr), factors
     return PureState(dim=arr.size, amplitudes=arr), factors
 
 
@@ -85,7 +85,7 @@ def _cmd_bounds(args) -> str:
 
 
 def _cmd_classify(args) -> str:
-    state, factors = _load_density(args.input)
+    state, factors = _load_state(args.input, 2)
     split = _resolve_split(args.split, factors)
     d = split.m
     if split.m != split.n:
@@ -109,7 +109,7 @@ def _cmd_classify(args) -> str:
 
 
 def _cmd_pt_spectrum(args) -> str:
-    psi, factors = _load_pure(args.input)
+    psi, factors = _load_state(args.input, 1)
     split = _resolve_split(args.split, factors)
     sd = schmidt(psi, split)
     analytic = pt_spectrum_analytic(sd, split)
@@ -144,7 +144,7 @@ def _cmd_claim_check(args) -> str:
 
 
 def _cmd_distill_witness(args) -> str:
-    state, factors = _load_density(args.input)
+    state, factors = _load_state(args.input, 2)
     split = _resolve_split(args.split, factors)
     result = find_schmidt2_witness(state, split, restarts=args.restarts, seed=args.seed)
     obj = {
@@ -170,53 +170,49 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hilbert-Schmidt geometry of density matrices: radii, PPT tests, claim checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    command = functools.partial(sub.add_parser, parents=[out])
 
-    p = sub.add_parser("bounds", help="print the radius table for d qudits")
+    p = command("bounds", help="print the radius table for d qudits")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(run=_cmd_bounds)
 
-    p = sub.add_parser("classify", help="distance zone and PPT verdict for a state")
+    p = command("classify", help="distance zone and PPT verdict for a state")
     p.add_argument("--input", required=True, help="matrix JSON file")
     p.add_argument("--split", type=_parse_split)
-    p.add_argument("--out")
     p.set_defaults(run=_cmd_classify)
 
-    p = sub.add_parser("pt-spectrum", help="analytic vs numeric PT spectrum of a pure state")
+    p = command("pt-spectrum", help="analytic vs numeric PT spectrum of a pure state")
     p.add_argument("--input", required=True, help="state-vector JSON file")
     p.add_argument("--split", type=_parse_split)
-    p.add_argument("--out")
     p.set_defaults(run=_cmd_pt_spectrum)
 
-    p = sub.add_parser("werner-sweep", help="Werner family sweep with threshold bisection")
+    p = command("werner-sweep", help="Werner family sweep with threshold bisection")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--grid", type=int, default=21)
-    p.add_argument("--out")
     p.set_defaults(run=_cmd_werner_sweep)
 
-    p = sub.add_parser("shell-scan", help="PPT fractions on HS-distance shells")
+    p = command("shell-scan", help="PPT fractions on HS-distance shells")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--split", type=_parse_split, required=True)
     p.add_argument("--radii", type=_parse_radii, required=True)
     p.add_argument("--samples", type=int, default=harness.DEFAULT_SAMPLES_PER_SHELL)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(run=_cmd_shell_scan)
 
-    p = sub.add_parser("claim-check", help="adjudicate the claimed PPT radius for d x d")
+    p = command("claim-check", help="adjudicate the claimed PPT radius for d x d")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--samples", type=int, default=harness.DEFAULT_SAMPLES_PER_SHELL)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(run=_cmd_claim_check)
 
-    p = sub.add_parser("distill-witness", help="search for a Schmidt-rank-2 PT witness")
+    p = command("distill-witness", help="search for a Schmidt-rank-2 PT witness")
     p.add_argument("--input", required=True, help="matrix JSON file")
     p.add_argument("--split", type=_parse_split)
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(run=_cmd_distill_witness)
 
     return parser

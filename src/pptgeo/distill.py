@@ -13,9 +13,10 @@ the compressions contract the reshaped partial transpose with the
 subspaces directly.  Each restart keeps its own seeded start and stops on
 its own once a step lowers its value by a relative STOP_RTOL or less.
 
-The result is two-sided.  `found` certifies a witness (re-checkable from
-the returned vector).  A miss is certified as well when the partial
-transpose has no eigenvalue below -WITNESS_TOL: every Rayleigh quotient of
+The result is two-sided, at the one NPT threshold `bipartite.PPT_TOL`.
+`found` certifies a witness (re-checkable from the returned vector).  A
+miss is certified as well when the input is PPT, i.e. its partial
+transpose has no eigenvalue below -PPT_TOL: every Rayleigh quotient of
 rho^PT is at least its smallest eigenvalue, so no vector of any Schmidt
 rank is a witness, and such inputs skip the search.  Only a miss of the
 search on an NPT input is inconclusive, never a proof of
@@ -28,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import BipartiteSplit, partial_transpose
+from .bipartite import PPT_TOL, BipartiteSplit, partial_transpose
 from .states import DensityMatrix, PureState, standard_normals
 
-WITNESS_TOL = 1e-10
 DEFAULT_RESTARTS = 64
 DEFAULT_ITERS = 50
 STOP_RTOL = 1e-8
@@ -48,7 +48,7 @@ class WitnessResult:
 
     value: when no search ran (restarts_used == 0) it is the smallest
     eigenvalue of rho^PT, a lower bound on every Schmidt-rank-2 quotient.
-    On a certified miss it is >= -WITNESS_TOL; on a 2xN split, where every
+    On a certified miss it is >= -PPT_TOL; on a 2xN split, where every
     vector has Schmidt rank <= 2, it is the exact minimum.  After a search
     it is the best <psi| rho^PT |psi> seen over all restarts (a Rayleigh
     quotient, so never below that eigenvalue).
@@ -133,13 +133,14 @@ def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
                           restarts: int = DEFAULT_RESTARTS,
                           iters: int = DEFAULT_ITERS,
                           seed: int = 0) -> WitnessResult:
-    """Search for a Schmidt-rank-<=2 vector with <psi| rho^PT |psi> < -WITNESS_TOL.
+    """Search for a Schmidt-rank-<=2 vector with <psi| rho^PT |psi> < -PPT_TOL.
 
-    The partial transpose is eigen-solved once first.  When its
-    smallest eigenvalue is at least -WITNESS_TOL no witness exists, and the
-    result is a certified miss with no restarts run.  When either factor is
-    2-dimensional every vector has Schmidt rank <= 2, so the PT ground state
-    from that same solve is the witness and the search is exact.  Otherwise
+    The partial transpose is eigen-solved once first.  When its smallest
+    eigenvalue is at least -PPT_TOL (the threshold at which `is_ppt` and
+    `classify` call a state PPT), no witness exists and the result is a
+    certified miss with no restarts run.  When either factor is 2-dimensional every vector
+    has Schmidt rank <= 2, so the PT ground state from that same solve is
+    the witness and the search is exact.  Otherwise
     `restarts` independent alternating minimizations, started from derived
     seeds (seed + restart index), run together as one stacked batch; each
     step refits both subspaces by QR and takes its value from the second of
@@ -162,7 +163,7 @@ def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
     else:
         w = np.linalg.eigvalsh(sigma)
     lowest = float(w[0])
-    if lowest >= -WITNESS_TOL:
+    if lowest >= -PPT_TOL:
         return WitnessResult(found=False, value=lowest, witness=None, restarts_used=0,
                              certified=True)
 
@@ -176,7 +177,7 @@ def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
         best_value, best_vec = float(values[best]), vecs[best]
         used = restarts
 
-    found = best_value < -WITNESS_TOL
+    found = best_value < -PPT_TOL
     witness = None
     if found:
         amp = best_vec / np.linalg.norm(best_vec)

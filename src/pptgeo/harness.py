@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import datetime
 import functools
-import io
 import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -37,7 +36,6 @@ from .bipartite import (
 from .bounds import BoundsTable, ball_radius, bounds_table, ppt_radius, werner_pm
 from .linalg import as_hermitian, cholesky_margin, cholesky_passes, hs_distance, min_eig_at_least
 from .states import (
-    GENERATOR_ID,
     DensityMatrix,
     PureState,
     WernerParams,
@@ -384,9 +382,9 @@ class Counterexample:
 class ClaimCheckReport:
     """Per-dimension adjudication of the claimed PPT-ball radius.
 
-    verdict is COUNTEREXAMPLE_FOUND exactly when a state at distance at most
-    the claimed radius has a PT eigenvalue below -1e-9; the offending state
-    rides along and re-verifies from its serialized matrix alone.
+    verdict is COUNTEREXAMPLE_FOUND exactly when the Werner probe or the
+    shell scan's worst state refutes the claim (`_refutes`); the offending
+    state rides along and re-verifies from its serialized matrix alone.
     """
 
     qudit_dim: int
@@ -398,6 +396,14 @@ class ClaimCheckReport:
     verdict: str
     counterexample: Counterexample | None
     base_seed: int
+
+
+def _refutes(distance: float, floor: float, claimed: float) -> bool:
+    """Whether a state at HS `distance` from I/N whose smallest PT eigenvalue
+    is `floor` refutes the claim that every state within `claimed` is PPT.
+    The 1e-12 absorbs the rounding of a distance recomputed from a stored
+    state."""
+    return distance <= claimed + 1e-12 and floor < -PPT_TOL
 
 
 def claim_check(qudit_dim: int, samples: int = DEFAULT_SAMPLES_PER_SHELL,
@@ -427,7 +433,7 @@ def claim_check(qudit_dim: int, samples: int = DEFAULT_SAMPLES_PER_SHELL,
         probe = WernerProbe(p_mid, *_werner_point(d, p_mid))
 
     counterexample = None
-    if probe is not None and probe.min_pt_eig < -PPT_TOL and probe.distance <= table.ppt_radius:
+    if probe is not None and _refutes(probe.distance, probe.min_pt_eig, table.ppt_radius):
         counterexample = Counterexample(
             source="werner-probe",
             state=werner(WernerParams(d, probe.p)),
@@ -435,7 +441,8 @@ def claim_check(qudit_dim: int, samples: int = DEFAULT_SAMPLES_PER_SHELL,
             distance=probe.distance,
             min_pt_eig=probe.min_pt_eig,
         )
-    elif shells.worst_state is not None and shells.worst_min_pt < -PPT_TOL:
+    elif shells.worst_state is not None and _refutes(shells.worst_radius, shells.worst_min_pt,
+                                                     table.ppt_radius):
         counterexample = Counterexample(
             source="shell-scan",
             state=shells.worst_state,
@@ -462,32 +469,15 @@ def claim_check(qudit_dim: int, samples: int = DEFAULT_SAMPLES_PER_SHELL,
 
 
 def sweep_to_csv(report: SweepReport) -> str:
-    buf = io.StringIO()
-    buf.write(f"# tool_version={serialize.TOOL_VERSION}\n")
-    buf.write(f"# d={report.qudit_dim}\n")
-    buf.write(f"# p_star={serialize.fmt17(report.p_star)}\n")
-    buf.write(f"# paper_pm={serialize.fmt17(report.paper_pm)}\n")
-    buf.write(f"# oracle_pm={serialize.fmt17(report.oracle_pm)}\n")
-    buf.write("p,distance,min_pt_eig,ppt\n")
-    for row in report.rows:
-        buf.write(f"{serialize.fmt17(row.p)},{serialize.fmt17(row.distance)},"
-                  f"{serialize.fmt17(row.min_pt_eig)},{int(row.ppt)}\n")
-    return buf.getvalue()
+    header = {**serialize.report_header(generator=None), "d": report.qudit_dim,
+              "p_star": report.p_star, "paper_pm": report.paper_pm, "oracle_pm": report.oracle_pm}
+    return serialize.to_csv(header, SweepRow._fields, report.rows)
 
 
 def shells_to_csv(report: ShellReport) -> str:
-    buf = io.StringIO()
-    buf.write(f"# tool_version={serialize.TOOL_VERSION}\n")
-    buf.write(f"# generator={GENERATOR_ID}\n")
-    buf.write(f"# seed={report.base_seed}\n")
-    buf.write(f"# N={report.total_dim}\n")
-    buf.write(f"# split={report.split.m}x{report.split.n}\n")
-    buf.write("radius,samples,accepted,ppt_count,ppt_fraction,min_pt_eig\n")
-    for row in report.rows:
-        buf.write(f"{serialize.fmt17(row.radius)},{row.samples},{row.accepted},"
-                  f"{row.ppt_count},{serialize.fmt17(row.ppt_fraction)},"
-                  f"{serialize.fmt17(row.min_pt_eig)}\n")
-    return buf.getvalue()
+    header = {**serialize.report_header(seed=report.base_seed), "N": report.total_dim,
+              "split": f"{report.split.m}x{report.split.n}"}
+    return serialize.to_csv(header, ShellRow._fields, report.rows)
 
 
 def claim_report_to_dict(report: ClaimCheckReport, timestamp: str | None = None) -> dict:
@@ -537,81 +527,81 @@ def claim_report_to_dict(report: ClaimCheckReport, timestamp: str | None = None)
     return out
 
 
-def _claimed_radius(obj: dict, dim: int) -> float:
-    """The claimed PPT radius `ppt_radius(dim)`, which must be the one the
-    report records."""
-    claimed = ppt_radius(dim)
-    if obj["bounds"]["ppt_radius"] != claimed:
-        raise ValueError(
-            f"recorded PPT radius {obj['bounds']['ppt_radius']!r} is not the claimed "
-            f"radius {claimed!r} for N = {dim}"
-        )
-    return claimed
+def _field(obj: dict, key: str, valid: Callable[[object], bool], want: str, where: str = ""):
+    """obj[key], obj being a claim report or its object `where`; raises
+    ValueError naming the field when it is missing or `valid` rejects it."""
+    name = f"{where} {key!r}".lstrip()
+    if key not in obj:
+        raise ValueError(f"missing field {name}")
+    if not valid(obj[key]):
+        raise ValueError(f"{name} must be {want}, got {obj[key]!r}")
+    return obj[key]
+
+
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_OBJECT_OR_NULL = (lambda v: v is None or isinstance(v, dict), "an object or null")
 
 
 def verify_claim_report(obj: dict) -> dict:
     """Re-validate a loaded claim-check report from its serialized state alone.
 
-    A COUNTEREXAMPLE_FOUND verdict must carry a state that, recomputed from
-    the embedded matrix, sits within the claimed radius `ppt_radius(N)` and
-    has a PT eigenvalue below -1e-9.  A CONSISTENT verdict must not be
-    refuted by the report itself: neither its Werner probe, recomputed from
-    the recorded `p`, nor any shell row recorded at a radius up to the
-    claim may show a PT eigenvalue below -1e-9 within the claimed radius.
-    Before anything is recomputed, its `qudit_dim` must be an integer in
-    2..6, its probe's `p` a number in [0, 1], and each shell row must start
-    with a numeric radius and end with a numeric PT floor.  Either way the
-    radius the report records must be the claimed one.  Raises ValueError,
-    naming the field where one is malformed, otherwise.
+    Whatever the verdict, `qudit_dim` d must be an integer in 2..6 and the
+    recorded PPT radius the claimed `ppt_radius(d * d)`.  A
+    COUNTEREXAMPLE_FOUND report must carry a state on factors [d, d] that,
+    recomputed from its matrix, refutes the claim (`_refutes`).  A CONSISTENT
+    one must not be refuted by its own Werner probe, recomputed from `p` (a
+    number in [0, 1]), or by a shell row's leading radius and trailing PT
+    floor.  Each field is read once, by `_field`: a missing field, or one of
+    a type `claim_report_to_dict` does not write, raises ValueError naming
+    it, as does a failed check.
     """
-    verdict = obj["verdict"]
+    if not isinstance(obj, dict):
+        raise ValueError(f"a claim report must be a JSON object, got {type(obj).__name__}")
+    verdict = _field(obj, "verdict", lambda v: isinstance(v, str), "a string")
+    if verdict not in (VERDICT_CONSISTENT, VERDICT_COUNTEREXAMPLE):
+        raise ValueError(f"unknown verdict {verdict!r}")
+    d = _field(obj, "qudit_dim", lambda v: serialize.is_int(v) and 2 <= v <= 6,
+               "an integer in 2..6")
+    n, claimed = d * d, ppt_radius(d * d)
+    bounds = _field(obj, "bounds", *_OBJECT)
+    recorded = _field(bounds, "ppt_radius", serialize.is_number, "a number", "'bounds'")
+    if recorded != claimed:
+        raise ValueError(f"recorded PPT radius {recorded!r} is not the claimed radius "
+                         f"{claimed!r} for N = {n}")
+
     if verdict == VERDICT_COUNTEREXAMPLE:
-        ce = obj.get("counterexample")
+        ce = _field(obj, "counterexample", *_OBJECT_OR_NULL)
         if ce is None:
             raise ValueError("COUNTEREXAMPLE_FOUND verdict without an attached state")
-        matrix, factors = serialize.array_from_json(ce["state"])
-        if factors is None:
-            raise ValueError("counterexample state lacks split metadata")
-        state = DensityMatrix(dim=matrix.shape[0], matrix=matrix)
-        split = BipartiteSplit(*factors)
-        claimed = _claimed_radius(obj, state.dim)
-        distance = hs_distance(state.matrix, np.eye(state.dim) / state.dim)
-        check = is_ppt(state, split)
-        if distance > claimed + 1e-12:
-            raise ValueError(f"counterexample distance {distance} exceeds claimed radius {claimed}")
-        if check.min_pt_eigenvalue >= -PPT_TOL:
-            raise ValueError(
-                f"counterexample PT floor {check.min_pt_eigenvalue} is not below {-PPT_TOL}"
-            )
-    elif verdict == VERDICT_CONSISTENT:
-        d = obj["qudit_dim"]
-        if not (serialize.is_int(d) and 2 <= d <= 6):
-            raise ValueError(f"'qudit_dim' must be an integer in 2..6, got {d!r}")
-        probe = obj["werner_probe"]
-        if probe is not None and not (serialize.is_number(probe["p"]) and 0.0 <= probe["p"] <= 1.0):
-            raise ValueError(f"'werner_probe' 'p' must be a number in [0, 1], got {probe['p']!r}")
-        rows = obj["shell_scan"]["rows"]
-        for index, row in enumerate(rows):
-            if not (isinstance(row, list) and row and serialize.is_number(row[0])
-                    and serialize.is_number(row[-1])):
-                raise ValueError(f"'shell_scan' row {index} lacks a numeric radius and PT floor: {row!r}")
-        claimed = _claimed_radius(obj, d * d)
-        if probe is not None:
-            distance, floor = _werner_point(d, probe["p"])
-            if distance <= claimed and floor < -PPT_TOL:
-                raise ValueError(
-                    f"CONSISTENT verdict, but the Werner probe at p = {probe['p']!r} has PT "
-                    f"floor {floor} at distance {distance} within the claimed radius {claimed}"
-                )
-        for row in rows:
-            radius, min_pt = row[0], row[-1]
-            if radius <= claimed and min_pt < -PPT_TOL:
-                raise ValueError(
-                    f"CONSISTENT verdict, but the shell at radius {radius!r} within the claimed "
-                    f"radius {claimed} records PT floor {min_pt}"
-                )
-    else:
-        raise ValueError(f"unknown verdict {verdict!r}")
+        matrix, factors = serialize.array_from_json(
+            _field(ce, "state", *_OBJECT, "'counterexample'"))
+        if factors != (d, d):
+            raise ValueError(f"counterexample state must record factors [{d}, {d}], got {factors}")
+        state = DensityMatrix(dim=n, matrix=matrix)
+        distance = hs_distance(state.matrix, np.eye(n) / n)
+        floor = is_ppt(state, BipartiteSplit(d, d)).min_pt_eigenvalue
+        if not _refutes(distance, floor, claimed):
+            raise ValueError(f"counterexample at distance {distance} with PT floor {floor} "
+                             f"does not refute the claimed radius {claimed}")
+        return obj
+
+    probe = _field(obj, "werner_probe", *_OBJECT_OR_NULL)
+    if probe is not None:
+        p = _field(probe, "p", lambda v: serialize.is_number(v) and 0.0 <= v <= 1.0,
+                   "a number in [0, 1]", "'werner_probe'")
+        distance, floor = _werner_point(d, p)
+        if _refutes(distance, floor, claimed):
+            raise ValueError(f"CONSISTENT verdict, but the Werner probe at p = {p!r} has PT floor "
+                             f"{floor} at distance {distance} within the claimed radius {claimed}")
+    shells = _field(obj, "shell_scan", *_OBJECT)
+    rows = _field(shells, "rows", lambda v: isinstance(v, list), "a list", "'shell_scan'")
+    for index, row in enumerate(rows):
+        if not (isinstance(row, list) and row and serialize.is_number(row[0])
+                and serialize.is_number(row[-1])):
+            raise ValueError(f"'shell_scan' row {index} lacks a numeric radius and PT floor: {row!r}")
+        if _refutes(row[0], row[-1], claimed):
+            raise ValueError(f"CONSISTENT verdict, but the shell at radius {row[0]!r} within the "
+                             f"claimed radius {claimed} records PT floor {row[-1]}")
     return obj
 
 

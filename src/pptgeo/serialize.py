@@ -9,7 +9,8 @@ Matrix JSON: an object with fields
 
 Floats are written at full precision (17 significant digits) so files
 round-trip exactly; every report carries a header block with the tool
-version, generator identity, and seed.
+version, generator identity, and seed (`report_header`), as `# key=value`
+lines in CSV reports (`to_csv`).
 """
 
 from __future__ import annotations
@@ -36,6 +37,17 @@ def report_header(seed: int | None = None, generator: str | None = GENERATOR_ID)
     if seed is not None:
         header["seed"] = int(seed)
     return header
+
+
+def to_csv(header: dict, columns, rows) -> str:
+    """`# key=value` header lines, the column names, then one line per row;
+    floats are written by `fmt17` and bools as 0/1."""
+    def cell(x) -> str:
+        return str(int(x)) if isinstance(x, bool) else fmt17(x) if isinstance(x, float) else str(x)
+
+    lines = [f"# {key}={cell(value)}" for key, value in header.items()] + [",".join(columns)]
+    lines += [",".join(map(cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _pairs(values: np.ndarray) -> list:

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pptgeo.bipartite import BipartiteSplit, is_ppt, partial_transpose, schmidt
+from pptgeo.bipartite import PPT_TOL, BipartiteSplit, is_ppt, partial_transpose, schmidt
 from pptgeo.distill import (
     DEFAULT_ITERS,
     DEFAULT_RESTARTS,
-    WITNESS_TOL,
     _alternating_search,
     _compress,
     _start_subspaces,
@@ -183,7 +182,7 @@ def test_batched_search_matches_per_restart_reference(label, m, n, state, iters)
     np.testing.assert_allclose(quotients, values, rtol=0, atol=1e-12)
 
     result = find_schmidt2_witness(state, split, restarts=restarts, iters=iters, seed=seed)
-    assert result.found == (ref_values.min() < -WITNESS_TOL)
+    assert result.found == (ref_values.min() < -PPT_TOL)
     if label in ("floor", "werner_ppt"):
         # PPT inputs are certified from the PT spectrum without a search.
         assert result.certified and result.witness is None
@@ -263,19 +262,18 @@ def test_ppt_input_is_certified_without_search(label, m, n, state):
     # The search the certificate skips could not have found a witness either.
     values, _ = _alternating_search(sigma, m, n, _start_subspaces(2, DEFAULT_RESTARTS, m),
                                     DEFAULT_ITERS)
-    assert values.min() >= -WITNESS_TOL
+    assert values.min() >= -PPT_TOL
 
 
-@pytest.mark.parametrize("lowest, searched", [(-2 * WITNESS_TOL, True),
-                                              (-0.5 * WITNESS_TOL, False)])
-def test_certificate_threshold_is_witness_tol(lowest, searched):
+@pytest.mark.parametrize("lowest, searched", [(-2 * PPT_TOL, True), (-0.5 * PPT_TOL, False)])
+def test_certificate_threshold_is_ppt_tol(lowest, searched):
     # 3x3 Werner just above p = 1/4, where the PT minimum 1/9 - 4p/9 sits
-    # just below or just above -WITNESS_TOL.
+    # just below or just above -PPT_TOL.
     state = werner(WernerParams(3, 0.25 - 9 * lowest / 4))
     split = BipartiteSplit(3, 3)
     sigma = partial_transpose(state, split)
     floor = np.linalg.eigvalsh((sigma + sigma.conj().T) / 2)[0]
-    assert (floor < -WITNESS_TOL) == searched
+    assert (floor < -PPT_TOL) == searched
     result = find_schmidt2_witness(state, split)
     assert result.restarts_used == (DEFAULT_RESTARTS if searched else 0)
     assert result.certified == (result.found or not searched)
@@ -283,6 +281,21 @@ def test_certificate_threshold_is_witness_tol(lowest, searched):
         assert result.value >= floor - 1e-12
     else:
         assert result.value == floor
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 4)], ids=["3x3", "2x4-exact"])
+def test_ppt_state_is_never_reported_distillable(m, n):
+    # PT minimum (1-p)/N - p/k = -5e-10: PPT to `is_ppt` (-PPT_TOL = -1e-9),
+    # so the search must certify it witness-free rather than report it
+    # 1-distillable.  2x4 takes the exact 2xN path.
+    k, dim = min(m, n), m * n
+    state = _werner_like(m, n, (1 / dim + 5e-10) / (1 / dim + 1 / k))
+    split = BipartiteSplit(m, n)
+    check = is_ppt(state, split)
+    assert check.ppt and check.min_pt_eigenvalue == pytest.approx(-5e-10, abs=1e-15)
+    result = find_schmidt2_witness(state, split)
+    assert (result.found, result.certified, result.restarts_used) == (False, True, 0)
+    assert result.witness is None
 
 
 def test_search_miss_on_npt_input_is_inconclusive():

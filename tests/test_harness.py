@@ -870,6 +870,82 @@ def test_forged_consistent_report_fields_raise_value_error(field, value, message
         verify_claim_report(obj)
 
 
+@functools.lru_cache(maxsize=None)
+def _genuine_report(d: int) -> str:
+    """A genuine claim report as JSON text: CONSISTENT at d = 2, a Werner-probe
+    COUNTEREXAMPLE_FOUND at d = 3."""
+    return json.dumps(claim_report_to_dict(claim_check(d, samples=20, base_seed=1), timestamp="t"))
+
+
+_DELETE = object()
+
+
+def _forge(obj, path: tuple, value):
+    """obj with the value at `path` (keys and list indices) set to `value`,
+    or deleted when it is _DELETE; `value` itself when the path is empty."""
+    if not path:
+        return value
+    parent = functools.reduce(lambda o, key: o[key], path[:-1], obj)
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+def _paths(obj, prefix=()):
+    """Every key and list-index path below obj."""
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@pytest.mark.parametrize("d, path, value, message", [
+    (2, ("werner_probe",), _DELETE, "missing field 'werner_probe'"),
+    (2, ("werner_probe",), [0.3], "'werner_probe' must be an object or null, got [0.3]"),
+    (2, ("shell_scan",), None, "'shell_scan' must be an object, got None"),
+    (2, ("bounds",), {}, "missing field 'bounds' 'ppt_radius'"),
+    (2, ("verdict",), _DELETE, "missing field 'verdict'"),
+    (2, (), [], "a claim report must be a JSON object, got list"),
+    (3, ("counterexample",), "x", "'counterexample' must be an object or null, got 'x'"),
+    (3, ("counterexample", "state"), _DELETE, "missing field 'counterexample' 'state'"),
+    (3, ("bounds",), _DELETE, "missing field 'bounds'"),
+    (3, ("qudit_dim",), "three", "'qudit_dim' must be an integer in 2..6, got 'three'"),
+    (3, ("qudit_dim",), 4, "recorded PPT radius 0.32"),
+], ids=["no-probe", "probe-list", "shell-scan-null", "bounds-empty", "no-verdict", "top-level-list",
+        "counterexample-string", "no-state", "counterexample-no-bounds", "qudit-dim-string",
+        "qudit-dim-relabelled"])
+def test_forged_report_structure_raises_value_error_naming_the_field(d, path, value, message):
+    obj = _forge(json.loads(_genuine_report(d)), path, value)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_claim_report(obj)
+
+
+def test_relabelled_counterexample_report_must_match_its_state_factors():
+    # A d = 3 counterexample report relabelled d = 4 together with the d = 4
+    # claimed radius: the 3x3 state it carries no longer fits the label.
+    obj = json.loads(_genuine_report(3))
+    obj["qudit_dim"], obj["bounds"]["ppt_radius"] = 4, harness.ppt_radius(16)
+    with pytest.raises(ValueError, match=re.escape("must record factors [4, 4], got (3, 3)")):
+        verify_claim_report(obj)
+
+
+@given(data=st.data(), d=st.sampled_from([2, 3]),
+       value=st.sampled_from([_DELETE, None, [], "x", True, 10**9]))
+@settings(max_examples=300, deadline=None)
+def test_one_forged_field_returns_or_raises_value_error(data, d, value):
+    # Delete or replace the value at one path of a genuine report: the loader
+    # either accepts the report or refuses it with a ValueError, never with
+    # another exception.
+    obj = json.loads(_genuine_report(d))
+    path = data.draw(st.sampled_from(list(_paths(obj))))
+    try:
+        verify_claim_report(_forge(obj, path, value))
+    except ValueError:
+        pass
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_genuine_consistent_qubit_reports_load(tmp_path, seed):
     report = claim_check(2, samples=100, base_seed=seed)
