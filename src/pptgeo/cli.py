@@ -9,6 +9,7 @@ from the claim-check timestamp.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -71,17 +72,8 @@ def _resolve_split(split: BipartiteSplit | None,
 
 def _cmd_bounds(args) -> str:
     table = bounds_table(args.d, args.n)
-    obj = {
-        "header": serialize.report_header(generator=None),
-        "total_dim": table.total_dim,
-        "qudit_dim": table.qudit_dim,
-        "parties": table.parties,
-        "outer_radius": table.outer_radius,
-        "separable_radius": table.separable_radius,
-        "ppt_radius": table.ppt_radius,
-        "werner_pm": table.werner_pm,
-    }
-    return serialize.dumps(obj)
+    header = serialize.report_header(generator=None)
+    return serialize.dumps({"header": header, **dataclasses.asdict(table)})
 
 
 def _cmd_classify(args) -> str:

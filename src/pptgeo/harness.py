@@ -7,9 +7,9 @@ once and kept for later scans (helpers run the code as loaded when forked).
 A shell's PPT verdicts and its lowest PT eigenvalue come from Cholesky
 certificates, and only the rows those leave open are eigen-solved, so the
 tallies are those of eigen-solving every row, bit for bit.  Claim checks
-never hard-fail on a refuted radius claim: the verdict plus a serialized
-counterexample state is the output, so a correct run stays green even when
-the claim under test is not.
+never hard-fail on a refuted radius claim: the verdict plus the serialized
+Werner-probe state that refutes it is the output, so a correct run stays
+green even when the claim under test is not.
 """
 
 from __future__ import annotations
@@ -150,27 +150,18 @@ class ShellRow(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ShellReport:
-    """PPT statistics on HS-distance shells around I/N.
+    """PPT statistics on HS-distance shells around I/N, one row per radius;
+    shell i draws from base_seed + i."""
 
-    One row per radius; shard seeds are base_seed + row index.  worst_state
-    (when capture is on) is the accepted sample with the most negative PT
-    eigenvalue across all shells, with its radius and eigenvalue.
-    """
-
-    total_dim: int
     split: BipartiteSplit
     rows: tuple[ShellRow, ...]
     samples_per_shell: int
     base_seed: int
-    worst_state: DensityMatrix | None = None
-    worst_radius: float | None = None
-    worst_min_pt: float | None = None
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
-    """Tallies (accepted, ppt_count, min PT floor, its state) of consecutive
-    sample ranges a then b; strict <, so a tie keeps a's state."""
-    return (a[0] + b[0], a[1] + b[1], *(b[2:] if b[2] < a[2] else a[2:]))
+    """Tallies (accepted, ppt_count, min PT floor) of sample ranges a and b."""
+    return a[0] + b[0], a[1] + b[1], min(a[2], b[2])
 
 
 def _scan_part(total_dim: int, split: BipartiteSplit, radius: float, seed: int,
@@ -179,13 +170,13 @@ def _scan_part(total_dim: int, split: BipartiteSplit, radius: float, seed: int,
     from default_rng(seed) advanced past the 2 N^2 uniforms (one PCG64 step
     each) of every earlier sample.
 
-    Returns their tally (see _merge, _chunk_tally): the minimum is inf and
-    its state None when no sample was accepted.
+    Returns their tally (see _merge, _chunk_tally): the minimum is inf when
+    no sample was accepted.
     """
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(first * 2 * total_dim**2)
     chunk = shell_chunk(total_dim)
-    tally = (0, 0, np.inf, None)
+    tally = (0, 0, np.inf)
     for start in range(first, stop, chunk):
         states = shell_batch(rng, total_dim, radius, min(chunk, stop - start))
         if len(states):
@@ -195,8 +186,8 @@ def _scan_part(total_dim: int, split: BipartiteSplit, radius: float, seed: int,
 
 def _chunk_tally(states: np.ndarray, split: BipartiteSplit, floor: float) -> tuple:
     """Tally (see _merge) of a stack of accepted states that follows samples
-    whose lowest PT floor is `floor`; its minimum is exact wherever it lies
-    below `floor`, the only case in which _merge keeps it.
+    whose lowest PT floor is `floor`; its minimum is the lowest of `floor`
+    and the stack's PT floors, exactly.
 
     Each PT floor is what `min_pt_eigenvalues` gives, but only the rows a
     Cholesky certificate (`cholesky_passes`, `cholesky_margin`) leaves open
@@ -205,19 +196,18 @@ def _chunk_tally(states: np.ndarray, split: BipartiteSplit, floor: float) -> tup
     - PPT verdict: `min_eig_at_least` at -PPT_TOL.
     - Minimum: a row that passes at low + margin has a floor above `low`,
       the lowest floor known so far (`floor`, then a solved row's), so it
-      can neither be a new minimum nor tie one.  While rows stay open, the
+      cannot be a new minimum.  While rows stay open, the
       one `_likely_lowest` picks is solved, lowering `low`, and the rest
       are tested again.  A PPT row's floor lies above an NPT row's, so
       once either the stack holds an NPT row or `floor` is below -PPT_TOL,
       only the NPT rows are open to begin with.
 
-    Every row whose floor is at most the final `low` is solved, so the
-    first lowest solved row is the first lowest row of the stack.
+    Every row whose floor is at most the final `low` is solved, so `low` is
+    what eigen-solving every row gives.
     """
     pt = partial_transpose(states, split)
     ppt = min_eig_at_least(pt, -PPT_TOL)
     margin = cholesky_margin(split.dim)
-    floors = np.full(len(pt), np.nan)  # min_pt_eigenvalues of the rows solved
     low = floor
     open_rows = np.flatnonzero(~ppt) if floor < -PPT_TOL or not ppt.all() else np.arange(len(pt))
     while open_rows.size:
@@ -226,15 +216,9 @@ def _chunk_tally(states: np.ndarray, split: BipartiteSplit, floor: float) -> tup
         if open_rows.size:
             # No PT floor exceeds 1/N, the mean of a unit-trace spectrum.
             row = _likely_lowest(pt, open_rows, min(low, 1.0 / split.dim) + margin, margin)
-            floors[row] = np.linalg.eigvalsh(pt[row:row + 1])[0, 0]
-            low = min(low, floors[row])
+            low = min(low, float(np.linalg.eigvalsh(pt[row:row + 1])[0, 0]))
             open_rows = open_rows[open_rows != row]
-
-    solved = np.flatnonzero(~np.isnan(floors))
-    if not solved.size:
-        return len(pt), int(np.count_nonzero(ppt)), np.inf, None
-    lowest = solved[np.argmin(floors[solved])]
-    return len(pt), int(np.count_nonzero(ppt)), float(floors[lowest]), states[lowest].copy()
+    return len(pt), int(np.count_nonzero(ppt)), low
 
 
 def _likely_lowest(pt: np.ndarray, rows: np.ndarray, top: float, margin: float) -> int:
@@ -259,7 +243,7 @@ def _usable_cpus() -> int:
 
 
 def shell_scan(total_dim: int, split: BipartiteSplit, radii, samples_per_shell: int = DEFAULT_SAMPLES_PER_SHELL,
-               base_seed: int = 0, capture_worst: bool = False) -> ShellReport:
+               base_seed: int = 0) -> ShellReport:
     """Sample each shell and record acceptance and PPT statistics.
 
     Shell i draws from default_rng(base_seed + i) alone.  Each shell is cut
@@ -291,27 +275,12 @@ def shell_scan(total_dim: int, split: BipartiteSplit, radii, samples_per_shell: 
                                    for index, radius in enumerate(radii)]
                                   for first, stop in zip(cuts, cuts[1:])])
     rows = []
-    worst_matrix, worst_radius, worst_min_pt = None, None, np.inf
     for index, radius in enumerate(radii):
-        accepted, ppt_count, min_pt, worst = functools.reduce(
-            _merge, [part[index] for part in parts])
+        accepted, ppt_count, min_pt = functools.reduce(_merge, [part[index] for part in parts])
         rows.append(ShellRow(radius, samples, accepted, ppt_count,
                              (ppt_count / accepted) if accepted else 0.0,
                              min_pt if accepted else float("nan")))
-        # Strict: a tie keeps the earlier shell's state.
-        if capture_worst and worst is not None and min_pt < worst_min_pt:
-            worst_matrix, worst_radius, worst_min_pt = worst, radius, min_pt
-    worst_state = None if worst_matrix is None else DensityMatrix(dim=total_dim, matrix=worst_matrix)
-    return ShellReport(
-        total_dim=total_dim,
-        split=split,
-        rows=tuple(rows),
-        samples_per_shell=samples,
-        base_seed=base_seed,
-        worst_state=worst_state,
-        worst_radius=worst_radius,
-        worst_min_pt=None if worst_state is None else worst_min_pt,
-    )
+    return ShellReport(split=split, rows=tuple(rows), samples_per_shell=samples, base_seed=base_seed)
 
 
 def sample_pure(rng: np.random.Generator, dim: int) -> PureState:
@@ -321,44 +290,28 @@ def sample_pure(rng: np.random.Generator, dim: int) -> PureState:
     return PureState(dim=dim, amplitudes=amp / np.linalg.norm(amp))
 
 
-class SpectrumRow(NamedTuple):
-    split: str
+class SpectrumCheck(NamedTuple):
     max_deviation: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class SpectrumCheckReport:
-    rows: tuple[SpectrumRow, ...]
-    passed: bool
-
-
-def spectrum_check(splits, trials: int, seed: int) -> SpectrumCheckReport:
+def spectrum_check(split: BipartiteSplit, trials: int, seed: int) -> SpectrumCheck:
     """Compare closed-form and numeric PT spectra of random pure states.
 
-    For each split and trial, the sorted analytic spectrum (including zero
-    multiplicities) must match the eigensolver output of the explicit
-    partial transpose to SPECTRUM_TOL max-abs.  Each split draws all its
-    trials' states first, then solves their partial transposes as one stack.
+    For each of `trials` states drawn from default_rng(seed), the sorted
+    analytic spectrum (including zero multiplicities) must match the
+    eigensolver output of the explicit partial transpose to SPECTRUM_TOL
+    max-abs.  All states are drawn first, then their partial transposes are
+    solved as one stack.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rows = []
-    for index, split in enumerate(splits):
-        rng = np.random.default_rng(seed + index)
-        psis = [sample_pure(rng, split.dim) for _ in range(trials)]
-        analytic = np.stack([pt_spectrum_analytic(schmidt(psi, split), split) for psi in psis])
-        numeric = pure_pt_spectra(np.stack([psi.amplitudes for psi in psis]), split)
-        worst = float(np.max(np.abs(analytic - numeric)))
-        rows.append(SpectrumRow(
-            split=f"{split.m}x{split.n}",
-            max_deviation=worst,
-            passed=worst <= SPECTRUM_TOL,
-        ))
-    return SpectrumCheckReport(
-        rows=tuple(rows),
-        passed=all(r.passed for r in rows),
-    )
+    rng = np.random.default_rng(seed)
+    psis = [sample_pure(rng, split.dim) for _ in range(trials)]
+    analytic = np.stack([pt_spectrum_analytic(schmidt(psi, split), split) for psi in psis])
+    numeric = pure_pt_spectra(np.stack([psi.amplitudes for psi in psis]), split)
+    worst = float(np.max(np.abs(analytic - numeric)))
+    return SpectrumCheck(max_deviation=worst, passed=worst <= SPECTRUM_TOL)
 
 
 class WernerProbe(NamedTuple):
@@ -369,11 +322,11 @@ class WernerProbe(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Counterexample:
-    """A state inside the claimed PPT ball whose partial transpose is negative."""
+    """A d (x) d state inside the claimed PPT ball whose partial transpose is
+    negative."""
 
-    source: str  # "werner-probe" or "shell-scan"
+    source: str  # "werner-probe"
     state: DensityMatrix
-    split: BipartiteSplit
     distance: float
     min_pt_eig: float
 
@@ -382,9 +335,9 @@ class Counterexample:
 class ClaimCheckReport:
     """Per-dimension adjudication of the claimed PPT-ball radius.
 
-    verdict is COUNTEREXAMPLE_FOUND exactly when the Werner probe or the
-    shell scan's worst state refutes the claim (`_refutes`); the offending
-    state rides along and re-verifies from its serialized matrix alone.
+    verdict is COUNTEREXAMPLE_FOUND exactly when there is a counterexample:
+    the Werner probe's state, when it refutes the claim (`_refutes`).  It
+    re-verifies from its serialized matrix alone.
     """
 
     qudit_dim: int
@@ -392,10 +345,13 @@ class ClaimCheckReport:
     sweep: SweepReport
     shells: ShellReport
     probe: WernerProbe | None
-    spectrum: SpectrumCheckReport
-    verdict: str
+    spectrum: SpectrumCheck
     counterexample: Counterexample | None
     base_seed: int
+
+    @property
+    def verdict(self) -> str:
+        return VERDICT_CONSISTENT if self.counterexample is None else VERDICT_COUNTEREXAMPLE
 
 
 def _refutes(distance: float, floor: float, claimed: float) -> bool:
@@ -410,22 +366,21 @@ def claim_check(qudit_dim: int, samples: int = DEFAULT_SAMPLES_PER_SHELL,
                 base_seed: int = 0) -> ClaimCheckReport:
     """Adjudicate the claimed PPT radius for a d (x) d system.
 
-    The deterministic Werner probe at the midpoint between the numeric and
-    claimed thresholds runs first (cheapest, zero-variance falsifier); the
-    random shell scan at {0.5, 0.9, 0.99, 1.0} of the claimed radius backs
-    it up.
+    The verdict is the deterministic Werner probe's, at the midpoint
+    between the numeric and claimed thresholds.  The shell scan at
+    {0.5, 0.9, 0.99, 1.0} of the claimed radius is the Monte Carlo
+    corroboration: at d = 2 the claimed radius is the spectral floor, inside
+    which every state is PPT, and at d = 3..6 the probe refutes the claim.
     """
     d = qudit_dim
     if not 2 <= d <= 6:
         raise ValueError(f"qudit_dim must lie in 2..6, got {d}")
-    total = d * d
     split = BipartiteSplit(d, d)
     table = bounds_table(d)
     sweep = werner_sweep(d)
     radii = [scale * table.ppt_radius for scale in CLAIM_SHELL_SCALES]
-    shells = shell_scan(total, split, radii, samples_per_shell=samples,
-                        base_seed=base_seed, capture_worst=True)
-    spectrum = spectrum_check([split], trials=50, seed=base_seed)
+    shells = shell_scan(d * d, split, radii, samples_per_shell=samples, base_seed=base_seed)
+    spectrum = spectrum_check(split, trials=50, seed=base_seed)
 
     probe = None
     if sweep.p_star < sweep.paper_pm:
@@ -437,18 +392,8 @@ def claim_check(qudit_dim: int, samples: int = DEFAULT_SAMPLES_PER_SHELL,
         counterexample = Counterexample(
             source="werner-probe",
             state=werner(WernerParams(d, probe.p)),
-            split=split,
             distance=probe.distance,
             min_pt_eig=probe.min_pt_eig,
-        )
-    elif shells.worst_state is not None and _refutes(shells.worst_radius, shells.worst_min_pt,
-                                                     table.ppt_radius):
-        counterexample = Counterexample(
-            source="shell-scan",
-            state=shells.worst_state,
-            split=split,
-            distance=shells.worst_radius,
-            min_pt_eig=shells.worst_min_pt,
         )
 
     return ClaimCheckReport(
@@ -458,7 +403,6 @@ def claim_check(qudit_dim: int, samples: int = DEFAULT_SAMPLES_PER_SHELL,
         shells=shells,
         probe=probe,
         spectrum=spectrum,
-        verdict=VERDICT_COUNTEREXAMPLE if counterexample else VERDICT_CONSISTENT,
         counterexample=counterexample,
         base_seed=base_seed,
     )
@@ -475,7 +419,7 @@ def sweep_to_csv(report: SweepReport) -> str:
 
 
 def shells_to_csv(report: ShellReport) -> str:
-    header = {**serialize.report_header(seed=report.base_seed), "N": report.total_dim,
+    header = {**serialize.report_header(seed=report.base_seed), "N": report.split.dim,
               "split": f"{report.split.m}x{report.split.n}"}
     return serialize.to_csv(header, ShellRow._fields, report.rows)
 
@@ -510,7 +454,7 @@ def claim_report_to_dict(report: ClaimCheckReport, timestamp: str | None = None)
             "min_pt_eigenvalue": report.probe.min_pt_eig,
         },
         "spectrum_check": {
-            "max_deviation": max(r.max_deviation for r in report.spectrum.rows),
+            "max_deviation": report.spectrum.max_deviation,
             "passed": report.spectrum.passed,
         },
         "verdict": report.verdict,
@@ -522,7 +466,7 @@ def claim_report_to_dict(report: ClaimCheckReport, timestamp: str | None = None)
             "source": ce.source,
             "distance": ce.distance,
             "min_pt_eigenvalue": ce.min_pt_eig,
-            "state": serialize.matrix_to_json(ce.state.matrix, factors=(ce.split.m, ce.split.n)),
+            "state": serialize.matrix_to_json(ce.state.matrix, factors=(report.qudit_dim,) * 2),
         }
     return out
 
@@ -554,6 +498,11 @@ def verify_claim_report(obj: dict) -> dict:
     floor.  Each field is read once, by `_field`: a missing field, or one of
     a type `claim_report_to_dict` does not write, raises ValueError naming
     it, as does a failed check.
+
+    Fields no check reads load unchecked: `werner_sweep`, `spectrum_check`,
+    `total_dim`, the bounds other than `ppt_radius`, the counterexample's
+    recorded `distance` and `min_pt_eigenvalue`, the probe's recorded
+    figures other than `p`, and the shell rows' middle columns.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"a claim report must be a JSON object, got {type(obj).__name__}")

@@ -205,10 +205,8 @@ def test_shell_scan_rejects_empty_radii_and_negative_seed():
 # --- shells split across helper processes ----------------------------------
 
 def _report_fields(report):
-    worst = None if report.worst_state is None else report.worst_state.matrix.tobytes()
     # repr, since a shell no sample reaches has min_pt_eig nan, and nan != nan.
-    return (shells_to_csv(report), repr(report.rows), report.worst_radius,
-            report.worst_min_pt, worst)
+    return shells_to_csv(report), repr(report.rows)
 
 
 @pytest.fixture
@@ -252,14 +250,12 @@ def test_split_scan_matches_in_process_scan(monkeypatch, fresh_helpers, factors)
     chunk = shell_chunk(split.dim)
     radii = _landscape_radii(split.dim)
     for samples in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
-        for capture in (False, True):
-            kwargs = dict(samples_per_shell=samples, base_seed=samples, capture_worst=capture)
-            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-            expected = _report_fields(shell_scan(split.dim, split, radii, **kwargs))
-            assert (expected[4] is not None) == capture
-            for cpus in (2, 3):
-                monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
-                assert _report_fields(shell_scan(split.dim, split, radii, **kwargs)) == expected
+        kwargs = dict(samples_per_shell=samples, base_seed=samples)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        expected = _report_fields(shell_scan(split.dim, split, radii, **kwargs))
+        for cpus in (2, 3):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            assert _report_fields(shell_scan(split.dim, split, radii, **kwargs)) == expected
     report = shell_scan(split.dim, split, radii, samples_per_shell=3 * chunk + 7)
     assert report.rows[0].ppt_count == report.rows[0].samples
     assert report.rows[-1].accepted == 0
@@ -282,15 +278,13 @@ def test_forked_scan_matches_in_process_scan(monkeypatch, fresh_helpers, forks, 
     chunks = -(-samples // shell_chunk(split.dim))
     assert samples % shell_chunk(split.dim) != 0
     for count in range(1, len(radii) + 1):
-        for capture in (False, True):
-            args = (split.dim, split, radii[:count])
-            kwargs = dict(samples_per_shell=samples, base_seed=count, capture_worst=capture)
-            monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-            expected = _report_fields(shell_scan(*args, **kwargs))
-            assert (expected[4] is not None) == capture
-            for cpus in (2, 3):
-                monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
-                assert _report_fields(shell_scan(*args, **kwargs)) == expected
+        args = (split.dim, split, radii[:count])
+        kwargs = dict(samples_per_shell=samples, base_seed=count)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        expected = _report_fields(shell_scan(*args, **kwargs))
+        for cpus in (2, 3):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            assert _report_fields(shell_scan(*args, **kwargs)) == expected
     # Helpers persist: one per part beyond the first, forked once.
     assert forks[0] == min(3, chunks) - 1
 
@@ -301,23 +295,15 @@ def test_tied_shell_minima_keep_the_earlier_shell(monkeypatch, fresh_helpers, cp
 
     @functools.wraps(harness._scan_part)  # pickles by name, so helpers run it too
     def tied(total_dim, split, radius, seed, first, stop):
-        # Every shell ties, and so do all parts after the first; the state
-        # tells which shell and part it came from.
-        diagonal = np.array([1.0 + first + 1000 * seed, 1.0, 1.0, 1.0])
-        state = np.diag(diagonal / diagonal.sum()).astype(np.complex128)
-        return stop - first, 0, -0.05 if first == 0 else -0.1, state
+        # Every shell ties, and so do all parts after the first.
+        return stop - first, 0, -0.05 if first == 0 else -0.1
 
     monkeypatch.setattr(harness, "_scan_part", tied)
     workers._POOL.close()  # helpers run the code as loaded when forked
     # 600 samples are three chunks at N = 4: parts start at 0, 256 and 512.
     report = shell_scan(4, BipartiteSplit(2, 2), [0.1, 0.2, 0.3], samples_per_shell=600,
-                        base_seed=0, capture_worst=True)
-    first = 0 if cpus == 1 else 256
-    diagonal = np.array([1.0 + first, 1.0, 1.0, 1.0])
-    assert report.worst_radius == 0.1
-    assert report.worst_min_pt == (-0.05 if cpus == 1 else -0.1)
-    assert report.worst_state.matrix.tobytes() == np.diag(diagonal / diagonal.sum()).astype(
-        np.complex128).tobytes()
+                        base_seed=0)
+    assert [row.min_pt_eig for row in report.rows] == [-0.05 if cpus == 1 else -0.1] * 3
     assert [row.accepted for row in report.rows] == [600] * 3
     assert len(workers._POOL.helpers) == cpus - 1
 
@@ -359,7 +345,7 @@ def test_worker_error_is_raised_and_every_child_reaped(monkeypatch, fresh_helper
     assert forks[0] == cpus - 1
     # No reply of the failed scan is left to be read: the next scan (seeds
     # 10-14, none failing) matches the same scan in this process alone.
-    kwargs = dict(samples_per_shell=150, base_seed=10, capture_worst=True)
+    kwargs = dict(samples_per_shell=150, base_seed=10)
     got = _report_fields(shell_scan(*ERROR_SCAN, **kwargs))
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     assert got == _report_fields(shell_scan(*ERROR_SCAN, **kwargs))
@@ -533,23 +519,18 @@ def test_no_shell_row_lies_below_the_worst_pt_floor(factors, fractions, samples,
     outer = math.sqrt((split.dim - 1) / split.dim)
     radii = sorted({outer * x for x in fractions})
     with mock.patch.object(harness, "_usable_cpus", lambda: 2):
-        report = shell_scan(split.dim, split, radii, samples_per_shell=samples,
-                            base_seed=seed, capture_worst=True)
+        report = shell_scan(split.dim, split, radii, samples_per_shell=samples, base_seed=seed)
     for row in report.rows:
         assert not row.min_pt_eig < _worst_pt_floor(split.dim, row.radius) - 1e-12
-    if report.worst_state is not None:
-        assert report.worst_min_pt == min(r.min_pt_eig for r in report.rows if r.accepted)
 
 
 # --- certified shell tallies ---------------------------------------------------
 
 def _tally_of_every_row(states_, split):
     """The tally (see harness._merge) of a stack with every PT floor
-    eigen-solved: the first lowest row keeps the minimum."""
+    eigen-solved."""
     floors = np.linalg.eigvalsh(partial_transpose(states_, split))[:, 0]
-    lowest = int(np.argmin(floors))
-    return (len(states_), int(np.count_nonzero(floors >= -PPT_TOL)), float(floors[lowest]),
-            states_[lowest].copy())
+    return len(states_), int(np.count_nonzero(floors >= -PPT_TOL)), float(floors.min())
 
 
 def _reference_scan_part(total_dim, split, radius, seed, first, stop):
@@ -557,7 +538,7 @@ def _reference_scan_part(total_dim, split, radius, seed, first, stop):
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(first * 2 * total_dim**2)
     chunk = shell_chunk(total_dim)
-    tally = (0, 0, np.inf, None)
+    tally = (0, 0, np.inf)
     for start in range(first, stop, chunk):
         batch = states.shell_batch(rng, total_dim, radius, min(chunk, stop - start))
         if len(batch):
@@ -566,8 +547,8 @@ def _reference_scan_part(total_dim, split, radius, seed, first, stop):
 
 
 def _tally_bytes(tally):
-    accepted, ppt_count, low, state = tally
-    return accepted, ppt_count, np.float64(low).tobytes(), None if state is None else state.tobytes()
+    accepted, ppt_count, low = tally
+    return accepted, ppt_count, np.float64(low).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -589,36 +570,6 @@ def _npt_shell_states(split, count, seed):
     """Accepted states of a shell beyond the PPT floor, where PPT and NPT rows mix."""
     radius = 1.3 / math.sqrt(split.dim * (split.dim - 1))
     return states.shell_batch(np.random.default_rng(seed), split.dim, radius, count)
-
-
-@pytest.mark.parametrize("factors", [(2, 2), (2, 3), (3, 3), (4, 4)])
-def test_tied_rows_keep_the_earlier_one(factors):
-    # The conjugate of a state has the same PT floor bit for bit but other
-    # bytes, so a tie between the two shows which one the tally keeps.
-    split = BipartiteSplit(*factors)
-    batch = _npt_shell_states(split, 12, sum(factors))
-    floors = np.linalg.eigvalsh(partial_transpose(batch, split))[:, 0]
-    low = int(np.argmin(floors))
-    twin = batch[low].conj()
-    assert twin.tobytes() != batch[low].tobytes()
-    assert np.linalg.eigvalsh(partial_transpose(twin, split))[0] == floors[low]
-    stacks = [
-        np.concatenate([batch, twin[None]]),             # the twin comes last
-        np.concatenate([batch[:low + 1], twin[None], batch[low + 1:]]),
-        np.concatenate([batch, batch[low:low + 1]]),     # a duplicated row
-        np.stack([batch[low], twin, batch[low], twin]),  # nothing but ties
-    ]
-    for stack in stacks:
-        want = _tally_of_every_row(stack, split)
-        assert _tally_bytes(harness._chunk_tally(stack, split, np.inf)) == _tally_bytes(want)
-        assert want[3].tobytes() == batch[low].tobytes()
-    # Across stacks: a later stack that only ties the running minimum loses.
-    first = harness._chunk_tally(batch, split, np.inf)
-    later = harness._chunk_tally(np.concatenate([twin[None], batch]), split, first[2])
-    merged = harness._merge(first, later)
-    assert merged[3].tobytes() == batch[low].tobytes()
-    twin_ppt = int(floors[low] >= -PPT_TOL)
-    assert merged[:3] == (2 * len(batch) + 1, 2 * first[1] + twin_ppt, floors[low])
 
 
 def _werner_at_pt_floor(d, target):
@@ -677,8 +628,8 @@ def test_werner_rows_next_to_the_ppt_threshold_get_the_eigensolve_verdict(monkey
 @pytest.mark.parametrize("d", [3, 4])
 def test_claim_shell_scan_eigen_solves_at_most_2_percent_of_accepted_rows(monkeypatch, d):
     # Counted while the shell scan runs, in this process: the PSD and PT
-    # eigen-solves of the sampler and the tally, and the worst state's
-    # validation.  Eigen-solving every accepted row would be 100%.
+    # eigen-solves of the sampler and the tally.  Eigen-solving every
+    # accepted row would be 100%.
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     solved = []
     eigvalsh, scan = np.linalg.eigvalsh, harness.shell_scan
@@ -704,14 +655,14 @@ def test_claim_shell_scan_eigen_solves_at_most_2_percent_of_accepted_rows(monkey
 # --- spectrum check ----------------------------------------------------------
 
 def test_spectrum_check_2x2():
-    report = spectrum_check([BipartiteSplit(2, 2)], trials=100, seed=0)
+    report = spectrum_check(BipartiteSplit(2, 2), trials=100, seed=0)
     assert report.passed
-    assert report.rows[0].max_deviation <= 1e-9
+    assert report.max_deviation <= 1e-9
 
 
 def test_spectrum_check_3x4_with_zero_multiplicity():
     split = BipartiteSplit(3, 4)
-    report = spectrum_check([split], trials=100, seed=1)
+    report = spectrum_check(split, trials=100, seed=1)
     assert report.passed
     # random pure states have full Schmidt rank 3: zero multiplicity
     # 3*1 + 9 - 9 = 3
@@ -764,8 +715,8 @@ def test_claim_check_d4_counterexample_expected():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_claim_check_validates_at_most_two_states(monkeypatch, d):
     # The Werner rows, bisection and probe are evaluated on unvalidated
-    # matrices; only the states a report carries are validated: the shell
-    # scan's worst state and a Werner-probe counterexample.
+    # matrices, and the shell scan keeps no state: the one state validated
+    # is the Werner-probe counterexample, which d = 2 does not have.
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     validated = []
     validate = states.DensityMatrix.__post_init__
@@ -776,7 +727,23 @@ def test_claim_check_validates_at_most_two_states(monkeypatch, d):
 
     monkeypatch.setattr(states.DensityMatrix, "__post_init__", counted)
     claim_check(d, samples=300, base_seed=0)
-    assert len(validated) <= 2
+    assert validated == ([] if d == 2 else [d * d])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_the_werner_probe_decides_every_claim_verdict(d):
+    # No shell row can refute the claim where the probe does not: at d = 2
+    # there is no probe, and the claimed radius is the spectral floor, so
+    # every shell state is PPT; at d >= 3 the probe refutes it.
+    report = claim_check(d, samples=50, base_seed=d)
+    claimed = report.table.ppt_radius
+    if d == 2:
+        assert report.probe is None and report.verdict == VERDICT_CONSISTENT
+        assert all(row.ppt_fraction == 1.0 for row in report.shells.rows)
+    else:
+        assert report.probe.min_pt_eig < -1e-3 and report.probe.distance < claimed
+        assert report.verdict == VERDICT_COUNTEREXAMPLE
+        assert report.counterexample.source == "werner-probe"
 
 
 def test_claim_check_validates_domain():
