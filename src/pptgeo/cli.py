@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: bounds, classify, pt-spectrum, werner-sweep, shell-scan,
-claim-check, distill-witness.  Tabular reports are CSV, everything else
-JSON; given the same seed, repeated runs emit byte-identical bodies apart
-from the claim-check timestamp.
+claim-check, verify, distill-witness.  Tabular reports are CSV, everything
+else JSON (`verify` prints nothing); given the same seed, repeated runs
+emit byte-identical bodies apart from the claim-check timestamp.
 """
 
 from __future__ import annotations
@@ -135,6 +135,10 @@ def _cmd_claim_check(args) -> str:
     return serialize.dumps(harness.claim_report_to_dict(report))
 
 
+def _cmd_verify(args) -> None:
+    harness.load_claim_report(args.file)
+
+
 def _cmd_distill_witness(args) -> str:
     state, factors = _load_state(args.input, 2)
     split = _resolve_split(args.split, factors)
@@ -200,6 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=_cmd_claim_check)
 
+    p = sub.add_parser("verify", help="re-verify a claim-check report by recomputing it")
+    p.add_argument("file", help="claim-check report JSON file")
+    p.set_defaults(run=_cmd_verify)
+
     p = command("distill-witness", help="search for a Schmidt-rank-2 PT witness")
     p.add_argument("--input", required=True, help="matrix JSON file")
     p.add_argument("--split", type=_parse_split)
@@ -213,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _emit(args.run(args), args.out)
+        if (text := args.run(args)) is not None:
+            _emit(text, args.out)
     except (ValueError, OSError, KeyError) as exc:
         # ValueError also covers numpy's LinAlgError from a failed eigen-solve.
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import datetime
 import functools
+import json
 import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -53,6 +54,7 @@ VERDICT_COUNTEREXAMPLE = "COUNTEREXAMPLE_FOUND"
 SPECTRUM_TOL = 1e-9
 CLAIM_SHELL_SCALES = (0.5, 0.9, 0.99, 1.0)
 DEFAULT_SAMPLES_PER_SHELL = 2000
+MAX_SAMPLES_PER_SHELL = 10**6  # bounds the cost of re-verifying a claim report
 
 
 def bisect_decreasing(f: Callable[[float], float], lo: float, hi: float,
@@ -375,6 +377,8 @@ def claim_check(qudit_dim: int, samples: int = DEFAULT_SAMPLES_PER_SHELL,
     d = qudit_dim
     if not 2 <= d <= 6:
         raise ValueError(f"qudit_dim must lie in 2..6, got {d}")
+    if not 1 <= samples <= MAX_SAMPLES_PER_SHELL:
+        raise ValueError(f"samples must lie in 1..{MAX_SAMPLES_PER_SHELL}, got {samples}")
     split = BipartiteSplit(d, d)
     table = bounds_table(d)
     sweep = werner_sweep(d)
@@ -426,7 +430,8 @@ def shells_to_csv(report: ShellReport) -> str:
 
 def claim_report_to_dict(report: ClaimCheckReport, timestamp: str | None = None) -> dict:
     header = serialize.report_header(seed=report.base_seed)
-    header["timestamp"] = timestamp or datetime.datetime.now(datetime.timezone.utc).isoformat()
+    header["timestamp"] = (timestamp if timestamp is not None
+                           else datetime.datetime.now(datetime.timezone.utc).isoformat())
     table = report.table
     out = {
         "header": header,
@@ -471,86 +476,70 @@ def claim_report_to_dict(report: ClaimCheckReport, timestamp: str | None = None)
     return out
 
 
-def _field(obj: dict, key: str, valid: Callable[[object], bool], want: str, where: str = ""):
-    """obj[key], obj being a claim report or its object `where`; raises
-    ValueError naming the field when it is missing or `valid` rejects it."""
-    name = f"{where} {key!r}".lstrip()
-    if key not in obj:
-        raise ValueError(f"missing field {name}")
-    if not valid(obj[key]):
-        raise ValueError(f"{name} must be {want}, got {obj[key]!r}")
-    return obj[key]
+def _input(obj: dict, path: tuple, valid: Callable[[object], bool], want: str):
+    """The value at `path` (keys) in a claim report; raises ValueError naming
+    the field when it is missing or `valid` rejects it."""
+    where = ""
+    for key in path:
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where} must be an object, got {obj!r}")
+        where = f"{where} {key!r}".lstrip()
+        if key not in obj:
+            raise ValueError(f"missing field {where}")
+        obj = obj[key]
+    if not valid(obj):
+        raise ValueError(f"{where} must be {want}, got {obj!r}")
+    return obj
 
 
-_OBJECT = (lambda v: isinstance(v, dict), "an object")
-_OBJECT_OR_NULL = (lambda v: v is None or isinstance(v, dict), "an object or null")
+def _brief(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:56] + " ..."
+
+
+def _diff(recorded, expected, where: str = "") -> None:
+    """Raise ValueError naming the first field ('shell_scan' 'rows' 0), in
+    `expected`'s order, at which the JSON tree `recorded` differs from
+    `expected`.  Leaves are compared by their JSON text: 20.0 and 20 differ."""
+    if isinstance(expected, list) and isinstance(recorded, list) and len(recorded) == len(expected):
+        expected, recorded = dict(enumerate(expected)), dict(enumerate(recorded))
+    if isinstance(expected, dict) and isinstance(recorded, dict):
+        for key in {**expected, **recorded}:
+            name = f"{where} {key!r}".lstrip()
+            if key not in recorded or key not in expected:
+                raise ValueError(f"{'missing' if key in expected else 'unexpected'} field {name}")
+            _diff(recorded[key], expected[key], name)
+    elif json.dumps(recorded) != json.dumps(expected):
+        raise ValueError(f"{where} must be {_brief(expected)}, got {_brief(recorded)}")
 
 
 def verify_claim_report(obj: dict) -> dict:
-    """Re-validate a loaded claim-check report from its serialized state alone.
-
-    Whatever the verdict, `qudit_dim` d must be an integer in 2..6 and the
-    recorded PPT radius the claimed `ppt_radius(d * d)`.  A
-    COUNTEREXAMPLE_FOUND report must carry a state on factors [d, d] that,
-    recomputed from its matrix, refutes the claim (`_refutes`).  A CONSISTENT
-    one must not be refuted by its own Werner probe, recomputed from `p` (a
-    number in [0, 1]), or by a shell row's leading radius and trailing PT
-    floor.  Each field is read once, by `_field`: a missing field, or one of
-    a type `claim_report_to_dict` does not write, raises ValueError naming
-    it, as does a failed check.
-
-    Fields no check reads load unchecked: `werner_sweep`, `spectrum_check`,
-    `total_dim`, the bounds other than `ppt_radius`, the counterexample's
-    recorded `distance` and `min_pt_eigenvalue`, the probe's recorded
-    figures other than `p`, and the shell rows' middle columns.
+    """Re-verify a loaded claim-check report by recomputing it from the
+    inputs it records, `qudit_dim` (2..6), `shell_scan` `samples_per_shell`
+    (1..MAX_SAMPLES_PER_SHELL), `header` `seed` (>= 0) and `timestamp`: the
+    result must equal it exactly (`_diff`), which costs one `claim_check`
+    and holds on a build that reproduces the report bit for bit.  Its
+    counterexample must refute the claim from its matrix alone (`_refutes`).
     """
     if not isinstance(obj, dict):
         raise ValueError(f"a claim report must be a JSON object, got {type(obj).__name__}")
-    verdict = _field(obj, "verdict", lambda v: isinstance(v, str), "a string")
-    if verdict not in (VERDICT_CONSISTENT, VERDICT_COUNTEREXAMPLE):
-        raise ValueError(f"unknown verdict {verdict!r}")
-    d = _field(obj, "qudit_dim", lambda v: serialize.is_int(v) and 2 <= v <= 6,
+    d = _input(obj, ("qudit_dim",), lambda v: serialize.is_int(v) and 2 <= v <= 6,
                "an integer in 2..6")
-    n, claimed = d * d, ppt_radius(d * d)
-    bounds = _field(obj, "bounds", *_OBJECT)
-    recorded = _field(bounds, "ppt_radius", serialize.is_number, "a number", "'bounds'")
-    if recorded != claimed:
-        raise ValueError(f"recorded PPT radius {recorded!r} is not the claimed radius "
-                         f"{claimed!r} for N = {n}")
+    samples = _input(obj, ("shell_scan", "samples_per_shell"),
+                     lambda v: serialize.is_int(v) and 1 <= v <= MAX_SAMPLES_PER_SHELL,
+                     f"an integer in 1..{MAX_SAMPLES_PER_SHELL}")
+    seed = _input(obj, ("header", "seed"), lambda v: serialize.is_int(v) and v >= 0, "an integer >= 0")
+    timestamp = _input(obj, ("header", "timestamp"), lambda v: isinstance(v, str), "a string")
+    _diff(obj, claim_report_to_dict(claim_check(d, samples, seed), timestamp=timestamp))
 
-    if verdict == VERDICT_COUNTEREXAMPLE:
-        ce = _field(obj, "counterexample", *_OBJECT_OR_NULL)
-        if ce is None:
-            raise ValueError("COUNTEREXAMPLE_FOUND verdict without an attached state")
-        matrix, factors = serialize.array_from_json(
-            _field(ce, "state", *_OBJECT, "'counterexample'"))
-        if factors != (d, d):
-            raise ValueError(f"counterexample state must record factors [{d}, {d}], got {factors}")
-        state = DensityMatrix(dim=n, matrix=matrix)
+    if obj["counterexample"] is not None:
+        n, claimed = d * d, ppt_radius(d * d)
+        state = DensityMatrix(dim=n, matrix=serialize.array_from_json(obj["counterexample"]["state"])[0])
         distance = hs_distance(state.matrix, np.eye(n) / n)
         floor = is_ppt(state, BipartiteSplit(d, d)).min_pt_eigenvalue
         if not _refutes(distance, floor, claimed):
             raise ValueError(f"counterexample at distance {distance} with PT floor {floor} "
                              f"does not refute the claimed radius {claimed}")
-        return obj
-
-    probe = _field(obj, "werner_probe", *_OBJECT_OR_NULL)
-    if probe is not None:
-        p = _field(probe, "p", lambda v: serialize.is_number(v) and 0.0 <= v <= 1.0,
-                   "a number in [0, 1]", "'werner_probe'")
-        distance, floor = _werner_point(d, p)
-        if _refutes(distance, floor, claimed):
-            raise ValueError(f"CONSISTENT verdict, but the Werner probe at p = {p!r} has PT floor "
-                             f"{floor} at distance {distance} within the claimed radius {claimed}")
-    shells = _field(obj, "shell_scan", *_OBJECT)
-    rows = _field(shells, "rows", lambda v: isinstance(v, list), "a list", "'shell_scan'")
-    for index, row in enumerate(rows):
-        if not (isinstance(row, list) and row and serialize.is_number(row[0])
-                and serialize.is_number(row[-1])):
-            raise ValueError(f"'shell_scan' row {index} lacks a numeric radius and PT floor: {row!r}")
-        if _refutes(row[0], row[-1], claimed):
-            raise ValueError(f"CONSISTENT verdict, but the shell at radius {row[0]!r} within the "
-                             f"claimed radius {claimed} records PT floor {row[-1]}")
     return obj
 
 

@@ -173,6 +173,36 @@ def test_claim_check_command(tmp_path, capsys):
     assert "timestamp" in obj["header"]
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_verify_accepts_a_genuine_claim_report_silently(tmp_path, capsys, d):
+    path = tmp_path / "claim.json"
+    assert main(["claim-check", "--d", str(d), "--samples", "50", "--seed", "5",
+                 "--out", str(path)]) == 0
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_verify_names_the_forged_field(tmp_path, capsys):
+    path = tmp_path / "claim.json"
+    assert main(["claim-check", "--d", "3", "--samples", "50", "--seed", "5",
+                 "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["werner_sweep"]["p_star"] = 0.9
+    serialize.save_json(obj, path)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: 'werner_sweep' 'p_star' must be ")
+
+
+def test_verify_refuses_a_file_that_is_no_claim_report(capsys, werner26_file):
+    assert main(["verify", werner26_file]) == 2
+    assert capsys.readouterr().err == "error: missing field 'qudit_dim'\n"
+
+
+def test_claim_check_over_the_sample_cap_exits_2(capsys):
+    assert main(["claim-check", "--d", "2", "--samples", "1000001"]) == 2
+    assert capsys.readouterr().err == "error: samples must lie in 1..1000000, got 1000001\n"
+
+
 def test_missing_file_is_an_error(capsys):
     code, _ = run(["classify", "--input", "/nonexistent.json", "--split", "2x2"], capsys)
     assert code == 2

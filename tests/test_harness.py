@@ -749,6 +749,9 @@ def test_the_werner_probe_decides_every_claim_verdict(d):
 def test_claim_check_validates_domain():
     with pytest.raises(ValueError):
         claim_check(7)
+    for samples in (0, harness.MAX_SAMPLES_PER_SHELL + 1):
+        with pytest.raises(ValueError, match=f"samples must lie in 1..1000000, got {samples}"):
+            claim_check(2, samples=samples)
 
 
 def test_claim_report_roundtrip_and_reverification(tmp_path):
@@ -784,25 +787,28 @@ def test_claim_report_with_a_forged_radius_fails_verification():
     obj["bounds"]["ppt_radius"] = 0.9
     obj["counterexample"]["state"] = serialize.matrix_to_json(
         werner(WernerParams(3, 0.9)).matrix, factors=(3, 3))
-    with pytest.raises(ValueError, match="recorded PPT radius 0.9 is not the claimed radius"):
+    with pytest.raises(ValueError, match="'bounds' 'ppt_radius' must be 0.32469446904545857, got 0.9"):
         verify_claim_report(obj)
 
 
 def test_forged_consistent_verdict_fails_verification():
     # A d = 3 report edited to CONSISTENT, without its counterexample: the
-    # Werner probe, recomputed from its recorded p whatever floor it
-    # records, refutes it, and so do its shell rows within the claim.
+    # recomputed report differs first in the Werner probe, whatever floor
+    # the probe records and whether it is there at all.
     obj = claim_report_to_dict(claim_check(3, samples=20, base_seed=1), timestamp="t")
     assert obj["verdict"] == VERDICT_COUNTEREXAMPLE
     obj["verdict"], obj["counterexample"] = VERDICT_CONSISTENT, None
     obj["werner_probe"]["min_pt_eigenvalue"] = 0.0
-    with pytest.raises(ValueError, match="CONSISTENT verdict, but the Werner probe at p = "):
+    with pytest.raises(ValueError, match=re.escape(
+            "'werner_probe' 'min_pt_eigenvalue' must be -0.0209756647299134, got 0.0")):
         verify_claim_report(obj)
     obj["werner_probe"] = None
-    with pytest.raises(ValueError, match="CONSISTENT verdict, but the shell at radius "):
+    with pytest.raises(ValueError, match=re.escape(
+            "'werner_probe' must be {\"p\": 0.29719524564230504, \"distance\": 0.280198364706767 ..., got null")):
         verify_claim_report(obj)
     obj["verdict"] = "PLAUSIBLE"
-    with pytest.raises(ValueError, match="unknown verdict 'PLAUSIBLE'"):
+    with pytest.raises(ValueError, match=re.escape(
+            "'werner_probe' must be {\"p\": 0.29719524564230504, \"distance\": 0.280198364706767 ..., got null")):
         verify_claim_report(obj)
 
 
@@ -810,18 +816,32 @@ def test_forged_consistent_verdict_fails_verification():
     ("qudit_dim", 3000, "'qudit_dim' must be an integer in 2..6, got 3000"),
     ("qudit_dim", 3.5, "'qudit_dim' must be an integer in 2..6, got 3.5"),
     ("qudit_dim", True, "'qudit_dim' must be an integer in 2..6, got True"),
-    ("p", "0.3", "'werner_probe' 'p' must be a number in [0, 1], got '0.3'"),
-    ("p", 1.5, "'werner_probe' 'p' must be a number in [0, 1], got 1.5"),
-    ("p", float("nan"), "'werner_probe' 'p' must be a number in [0, 1], got nan"),
-    ("row", ["0.1", 500, 0.0], "'shell_scan' row 0 lacks a numeric radius and PT floor"),
-    ("row", [0.1, 500, None], "'shell_scan' row 0 lacks a numeric radius and PT floor"),
-    ("row", [], "'shell_scan' row 0 lacks a numeric radius and PT floor"),
+    pytest.param("p", "0.3", "'werner_probe' must be null, got {\"p\": \"0.3\", \"distance\": 0.0, "
+                 "\"min_pt_eigenvalue\": 0.0}",
+                 id="p-0.3-'werner_probe' 'p' forged"),
+    pytest.param("p", 1.5, "'werner_probe' must be null, got {\"p\": 1.5, \"distance\": 0.0, "
+                 "\"min_pt_eigenvalue\": 0.0}",
+                 id="p-1.5-'werner_probe' 'p' forged"),
+    pytest.param("p", float("nan"), "'werner_probe' must be null, got {\"p\": NaN, \"distance\": 0.0, "
+                 "\"min_pt_eigenvalue\": 0.0}",
+                 id="p-nan-'werner_probe' 'p' forged"),
+    pytest.param("row", ["0.1", 500, 0.0], "'shell_scan' 'rows' 0 must be [0.14433756729740646, 20, "
+                 "20, 20, 1.0, 0.13488649341420036], got [\"0.1\", 500, 0.0]",
+                 id="row-value6-'shell_scan' row 0 forged"),
+    pytest.param("row", [0.1, 500, None], "'shell_scan' 'rows' 0 must be [0.14433756729740646, 20, "
+                 "20, 20, 1.0, 0.13488649341420036], got [0.1, 500, null]",
+                 id="row-value7-'shell_scan' row 0 forged"),
+    pytest.param("row", [], "'shell_scan' 'rows' 0 must be [0.14433756729740646, 20, "
+                 "20, 20, 1.0, 0.13488649341420036], got []",
+                 id="row-value8-'shell_scan' row 0 forged"),
 ])
 def test_forged_consistent_report_fields_raise_value_error(field, value, message):
-    # A CONSISTENT report whose fields would make the recomputation allocate
-    # a Werner state at N = 9,000,000 or fail on a type: each is refused by
-    # name before anything is recomputed.  A forged numeric qudit_dim comes
-    # with its own claimed radius, so only the domain check stands in the way.
+    # A CONSISTENT report with a forged Werner probe or shell row.  A
+    # qudit_dim that would make the recomputation allocate a Werner state at
+    # N = 9,000,000, or that has another type, is refused by name before
+    # anything is recomputed (it comes with its own claimed radius, so only
+    # the domain check stands in the way); the other forgeries are refused
+    # at the first field that differs from the recomputed report.
     obj = claim_report_to_dict(claim_check(2, samples=20, base_seed=1), timestamp="t")
     assert obj["verdict"] == VERDICT_CONSISTENT
     obj["werner_probe"] = {"p": 0.3, "distance": 0.0, "min_pt_eigenvalue": 0.0}
@@ -870,16 +890,17 @@ def _paths(obj, prefix=()):
 
 @pytest.mark.parametrize("d, path, value, message", [
     (2, ("werner_probe",), _DELETE, "missing field 'werner_probe'"),
-    (2, ("werner_probe",), [0.3], "'werner_probe' must be an object or null, got [0.3]"),
+    (2, ("werner_probe",), [0.3], "'werner_probe' must be null, got [0.3]"),
     (2, ("shell_scan",), None, "'shell_scan' must be an object, got None"),
-    (2, ("bounds",), {}, "missing field 'bounds' 'ppt_radius'"),
+    (2, ("bounds",), {}, "missing field 'bounds' 'outer_radius'"),
     (2, ("verdict",), _DELETE, "missing field 'verdict'"),
     (2, (), [], "a claim report must be a JSON object, got list"),
-    (3, ("counterexample",), "x", "'counterexample' must be an object or null, got 'x'"),
+    (3, ("counterexample",), "x", "'counterexample' must be {\"source\": \"werner-probe\", "
+                                  "\"distance\": 0.280198364706767 ..., got \"x\""),
     (3, ("counterexample", "state"), _DELETE, "missing field 'counterexample' 'state'"),
     (3, ("bounds",), _DELETE, "missing field 'bounds'"),
     (3, ("qudit_dim",), "three", "'qudit_dim' must be an integer in 2..6, got 'three'"),
-    (3, ("qudit_dim",), 4, "recorded PPT radius 0.32"),
+    (3, ("qudit_dim",), 4, "'total_dim' must be 16, got 9"),
 ], ids=["no-probe", "probe-list", "shell-scan-null", "bounds-empty", "no-verdict", "top-level-list",
         "counterexample-string", "no-state", "counterexample-no-bounds", "qudit-dim-string",
         "qudit-dim-relabelled"])
@@ -894,8 +915,56 @@ def test_relabelled_counterexample_report_must_match_its_state_factors():
     # claimed radius: the 3x3 state it carries no longer fits the label.
     obj = json.loads(_genuine_report(3))
     obj["qudit_dim"], obj["bounds"]["ppt_radius"] = 4, harness.ppt_radius(16)
-    with pytest.raises(ValueError, match=re.escape("must record factors [4, 4], got (3, 3)")):
+    with pytest.raises(ValueError, match=re.escape("'total_dim' must be 16, got 9")):
         verify_claim_report(obj)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("werner_sweep", "p_star"), 0.9, "'werner_sweep' 'p_star' must be 0.24999999997089617, got 0.9"),
+    (("spectrum_check", "passed"), False, "'spectrum_check' 'passed' must be true, got false"),
+    (("total_dim",), 16, "'total_dim' must be 9, got 16"),
+    (("bounds", "separable_radius"), 0.5,
+     "'bounds' 'separable_radius' must be 0.23570226039551584, got 0.5"),
+    (("counterexample", "distance"), 123.0,
+     "'counterexample' 'distance' must be 0.2801983647067676, got 123.0"),
+    (("shell_scan", "samples_per_shell"), 20.0,
+     "'shell_scan' 'samples_per_shell' must be an integer in 1..1000000, got 20.0"),
+    (("shell_scan", "samples_per_shell"), 10**6 + 1,
+     "'shell_scan' 'samples_per_shell' must be an integer in 1..1000000, got 1000001"),
+    (("spectrum_check", "passed"), 1, "'spectrum_check' 'passed' must be true, got 1"),
+    (("shell_scan", "rows", 0, 2), 20.0, "'shell_scan' 'rows' 0 2 must be 20, got 20.0"),
+    (("verdict",), "PLAUSIBLE", "'verdict' must be \"COUNTEREXAMPLE_FOUND\", got \"PLAUSIBLE\""),
+    (("header", "tool_version"), "0.0.9", "'header' 'tool_version' must be \"0.1.0\", got \"0.0.9\""),
+    (("header", "seed"), 2,
+     "'shell_scan' 'rows' 0 5 must be 0.011970973165005682, got 0.008092810844215283"),
+    (("header", "seed"), -1, "'header' 'seed' must be an integer >= 0, got -1"),
+    (("header", "timestamp"), None, "'header' 'timestamp' must be a string, got None"),
+    (("header", "extra"), 1, "unexpected field 'header' 'extra'"),
+], ids=["p-star", "spectrum-failed", "total-dim", "separable-radius", "counterexample-distance",
+        "samples-float", "samples-over-cap", "spectrum-passed-int", "accepted-float", "verdict",
+        "tool-version", "other-seed", "negative-seed", "timestamp-null", "extra-field"])
+def test_every_forged_figure_is_refused_naming_its_path(path, value, message):
+    # A genuine d = 3 report with one figure edited: the loader recomputes
+    # the report from its recorded d, samples and seed and names the first
+    # field that differs, leaves compared by their JSON text.
+    obj = _forge(json.loads(_genuine_report(3)), path, value)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_claim_report(obj)
+
+
+@pytest.mark.parametrize("d, samples", [(2, harness.DEFAULT_SAMPLES_PER_SHELL),
+                                        (3, harness.DEFAULT_SAMPLES_PER_SHELL),
+                                        (4, harness.DEFAULT_SAMPLES_PER_SHELL), (5, 200), (6, 200)])
+def test_genuine_claim_reports_reverify(tmp_path, d, samples):
+    path = tmp_path / "claim.json"
+    serialize.save_json(claim_report_to_dict(claim_check(d, samples=samples, base_seed=7)), path)
+    assert load_claim_report(path)["qudit_dim"] == d
+
+
+def test_an_empty_timestamp_is_recorded_and_reverifies():
+    obj = claim_report_to_dict(claim_check(2, samples=20, base_seed=1), timestamp="")
+    assert obj["header"]["timestamp"] == ""
+    verify_claim_report(json.loads(json.dumps(obj)))
 
 
 @given(data=st.data(), d=st.sampled_from([2, 3]),
