@@ -27,14 +27,13 @@ from . import serialize
 from .bipartite import (
     PPT_TOL,
     BipartiteSplit,
-    is_ppt,
     min_pt_eigenvalues,
     partial_transpose,
     pt_spectrum_analytic,
     pure_pt_spectra,
     schmidt,
 )
-from .bounds import BoundsTable, ball_radius, bounds_table, ppt_radius, werner_pm
+from .bounds import BoundsTable, ball_radius, bounds_table, werner_pm
 from .linalg import as_hermitian, cholesky_margin, cholesky_passes, hs_distance, min_eig_at_least
 from .states import (
     DensityMatrix,
@@ -338,8 +337,7 @@ class ClaimCheckReport:
     """Per-dimension adjudication of the claimed PPT-ball radius.
 
     verdict is COUNTEREXAMPLE_FOUND exactly when there is a counterexample:
-    the Werner probe's state, when it refutes the claim (`_refutes`).  It
-    re-verifies from its serialized matrix alone.
+    the Werner probe's state, when it refutes the claim (`_refutes`).
     """
 
     qudit_dim: int
@@ -359,8 +357,7 @@ class ClaimCheckReport:
 def _refutes(distance: float, floor: float, claimed: float) -> bool:
     """Whether a state at HS `distance` from I/N whose smallest PT eigenvalue
     is `floor` refutes the claim that every state within `claimed` is PPT.
-    The 1e-12 absorbs the rounding of a distance recomputed from a stored
-    state."""
+    The 1e-12 absorbs the rounding of a computed distance."""
     return distance <= claimed + 1e-12 and floor < -PPT_TOL
 
 
@@ -497,20 +494,24 @@ def _brief(value) -> str:
     return text if len(text) <= 60 else text[:56] + " ..."
 
 
-def _diff(recorded, expected, where: str = "") -> None:
-    """Raise ValueError naming the first field ('shell_scan' 'rows' 0), in
-    `expected`'s order, at which the JSON tree `recorded` differs from
-    `expected`.  Leaves are compared by their JSON text: 20.0 and 20 differ."""
+def _diff(recorded, expected, where: str = "") -> str | None:
+    """The first field ('shell_scan' 'rows' 0), in `expected`'s order, at
+    which the JSON tree `recorded` differs from `expected`, said as an error
+    message, or None.  Leaves are compared by their JSON text: 20.0 and 20
+    differ."""
     if isinstance(expected, list) and isinstance(recorded, list) and len(recorded) == len(expected):
         expected, recorded = dict(enumerate(expected)), dict(enumerate(recorded))
     if isinstance(expected, dict) and isinstance(recorded, dict):
         for key in {**expected, **recorded}:
             name = f"{where} {key!r}".lstrip()
             if key not in recorded or key not in expected:
-                raise ValueError(f"{'missing' if key in expected else 'unexpected'} field {name}")
-            _diff(recorded[key], expected[key], name)
+                return f"{'missing' if key in expected else 'unexpected'} field {name}"
+            found = _diff(recorded[key], expected[key], name)
+            if found:
+                return found
     elif json.dumps(recorded) != json.dumps(expected):
-        raise ValueError(f"{where} must be {_brief(expected)}, got {_brief(recorded)}")
+        return f"{where} must be {_brief(expected)}, got {_brief(recorded)}"
+    return None
 
 
 def verify_claim_report(obj: dict) -> dict:
@@ -518,8 +519,12 @@ def verify_claim_report(obj: dict) -> dict:
     inputs it records, `qudit_dim` (2..6), `shell_scan` `samples_per_shell`
     (1..MAX_SAMPLES_PER_SHELL), `header` `seed` (>= 0) and `timestamp`: the
     result must equal it exactly (`_diff`), which costs one `claim_check`
-    and holds on a build that reproduces the report bit for bit.  Its
-    counterexample must refute the claim from its matrix alone (`_refutes`).
+    and holds on a build that reproduces the report bit for bit.  A report
+    that equals the recomputed one carries `claim_check`'s own verdict, so
+    its counterexample refutes the claim by `_refutes`, as its Werner probe
+    and shell rows are `claim_check`'s.  A difference is reported as the
+    report not reproducing on this build: a forged field and last-bit
+    rounding on another numpy or LAPACK build read alike.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"a claim report must be a JSON object, got {type(obj).__name__}")
@@ -530,16 +535,10 @@ def verify_claim_report(obj: dict) -> dict:
                      f"an integer in 1..{MAX_SAMPLES_PER_SHELL}")
     seed = _input(obj, ("header", "seed"), lambda v: serialize.is_int(v) and v >= 0, "an integer >= 0")
     timestamp = _input(obj, ("header", "timestamp"), lambda v: isinstance(v, str), "a string")
-    _diff(obj, claim_report_to_dict(claim_check(d, samples, seed), timestamp=timestamp))
-
-    if obj["counterexample"] is not None:
-        n, claimed = d * d, ppt_radius(d * d)
-        state = DensityMatrix(dim=n, matrix=serialize.array_from_json(obj["counterexample"]["state"])[0])
-        distance = hs_distance(state.matrix, np.eye(n) / n)
-        floor = is_ppt(state, BipartiteSplit(d, d)).min_pt_eigenvalue
-        if not _refutes(distance, floor, claimed):
-            raise ValueError(f"counterexample at distance {distance} with PT floor {floor} "
-                             f"does not refute the claimed radius {claimed}")
+    found = _diff(obj, claim_report_to_dict(claim_check(d, samples, seed), timestamp=timestamp))
+    if found:
+        raise ValueError(f"report does not reproduce on this build "
+                         f"(tool_version {serialize.TOOL_VERSION}): {found}")
     return obj
 
 

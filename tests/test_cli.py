@@ -190,7 +190,9 @@ def test_verify_names_the_forged_field(tmp_path, capsys):
     obj["werner_sweep"]["p_star"] = 0.9
     serialize.save_json(obj, path)
     assert main(["verify", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: 'werner_sweep' 'p_star' must be ")
+    assert capsys.readouterr().err.startswith(
+        "error: report does not reproduce on this build (tool_version 0.1.0): "
+        "'werner_sweep' 'p_star' must be ")
 
 
 def test_verify_refuses_a_file_that_is_no_claim_report(capsys, werner26_file):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pptgeo import cli, harness, serialize, states, workers
+from pptgeo import bounds, cli, harness, serialize, states, workers
 from pptgeo.bipartite import (
     PPT_TOL,
     BipartiteSplit,
@@ -794,8 +794,10 @@ def test_claim_report_with_a_forged_radius_fails_verification():
 def test_forged_consistent_verdict_fails_verification():
     # A d = 3 report edited to CONSISTENT, without its counterexample: the
     # recomputed report differs first in the Werner probe, whatever floor
-    # the probe records and whether it is there at all.
-    obj = claim_report_to_dict(claim_check(3, samples=20, base_seed=1), timestamp="t")
+    # the probe records and whether it is there at all.  An unknown verdict
+    # on an otherwise genuine report is refused by name.
+    genuine = claim_report_to_dict(claim_check(3, samples=20, base_seed=1), timestamp="t")
+    obj = json.loads(json.dumps(genuine))
     assert obj["verdict"] == VERDICT_COUNTEREXAMPLE
     obj["verdict"], obj["counterexample"] = VERDICT_CONSISTENT, None
     obj["werner_probe"]["min_pt_eigenvalue"] = 0.0
@@ -806,10 +808,10 @@ def test_forged_consistent_verdict_fails_verification():
     with pytest.raises(ValueError, match=re.escape(
             "'werner_probe' must be {\"p\": 0.29719524564230504, \"distance\": 0.280198364706767 ..., got null")):
         verify_claim_report(obj)
-    obj["verdict"] = "PLAUSIBLE"
+    genuine["verdict"] = "PLAUSIBLE"
     with pytest.raises(ValueError, match=re.escape(
-            "'werner_probe' must be {\"p\": 0.29719524564230504, \"distance\": 0.280198364706767 ..., got null")):
-        verify_claim_report(obj)
+            "'verdict' must be \"COUNTEREXAMPLE_FOUND\", got \"PLAUSIBLE\"")):
+        verify_claim_report(genuine)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -848,7 +850,7 @@ def test_forged_consistent_report_fields_raise_value_error(field, value, message
     if field == "qudit_dim":
         obj["qudit_dim"] = value
         if not isinstance(value, bool):
-            obj["bounds"]["ppt_radius"] = harness.ppt_radius(value * value)
+            obj["bounds"]["ppt_radius"] = bounds.ppt_radius(value * value)
     elif field == "p":
         obj["werner_probe"]["p"] = value
     else:
@@ -914,7 +916,7 @@ def test_relabelled_counterexample_report_must_match_its_state_factors():
     # A d = 3 counterexample report relabelled d = 4 together with the d = 4
     # claimed radius: the 3x3 state it carries no longer fits the label.
     obj = json.loads(_genuine_report(3))
-    obj["qudit_dim"], obj["bounds"]["ppt_radius"] = 4, harness.ppt_radius(16)
+    obj["qudit_dim"], obj["bounds"]["ppt_radius"] = 4, bounds.ppt_radius(16)
     with pytest.raises(ValueError, match=re.escape("'total_dim' must be 16, got 9")):
         verify_claim_report(obj)
 
@@ -933,7 +935,7 @@ def test_relabelled_counterexample_report_must_match_its_state_factors():
      "'shell_scan' 'samples_per_shell' must be an integer in 1..1000000, got 1000001"),
     (("spectrum_check", "passed"), 1, "'spectrum_check' 'passed' must be true, got 1"),
     (("shell_scan", "rows", 0, 2), 20.0, "'shell_scan' 'rows' 0 2 must be 20, got 20.0"),
-    (("verdict",), "PLAUSIBLE", "'verdict' must be \"COUNTEREXAMPLE_FOUND\", got \"PLAUSIBLE\""),
+    (("verdict",), VERDICT_CONSISTENT, "'verdict' must be \"COUNTEREXAMPLE_FOUND\", got \"CONSISTENT\""),
     (("header", "tool_version"), "0.0.9", "'header' 'tool_version' must be \"0.1.0\", got \"0.0.9\""),
     (("header", "seed"), 2,
      "'shell_scan' 'rows' 0 5 must be 0.011970973165005682, got 0.008092810844215283"),
