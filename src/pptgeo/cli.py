@@ -160,7 +160,10 @@ def _cmd_distill_witness(args) -> str:
     return serialize.dumps(obj)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `main` parses every
+    argv with it."""
     parser = argparse.ArgumentParser(
         prog="pptgeo",
         description="Hilbert-Schmidt geometry of density matrices: radii, PPT tests, claim checks.",

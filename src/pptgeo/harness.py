@@ -4,12 +4,13 @@ Every report is deterministic given its base seed: shell i of a scan draws
 from base_seed + i, and each part of a shell from that stream advanced to its
 first sample, whether it runs in this process or in a helper process forked
 once and kept for later scans (helpers run the code as loaded when forked).
-A shell's PPT verdicts and its lowest PT eigenvalue come from Cholesky
-certificates, and only the rows those leave open are eigen-solved, so the
-tallies are those of eigen-solving every row, bit for bit.  Claim checks
-never hard-fail on a refuted radius claim: the verdict plus the serialized
-Werner-probe state that refutes it is the output, so a correct run stays
-green even when the claim under test is not.
+A shell's PSD and PPT verdicts and its lowest PT eigenvalue come from
+Cholesky certificates on single-precision candidates, and only the rows
+those leave open are built in float64 and certified or eigen-solved there,
+so the tallies are those of eigen-solving every float64 row, bit for bit.
+Claim checks never hard-fail on a refuted radius claim: the verdict plus
+the serialized Werner-probe state that refutes it is the output, so a
+correct run stays green even when the claim under test is not.
 """
 
 from __future__ import annotations
@@ -36,11 +37,14 @@ from .bipartite import (
 from .bounds import BoundsTable, ball_radius, bounds_table, werner_pm
 from .linalg import as_hermitian, cholesky_margin, cholesky_passes, hs_distance, min_eig_at_least
 from .states import (
+    SCREEN_MARGIN,
     DensityMatrix,
     PureState,
     WernerParams,
-    shell_batch,
     shell_chunk,
+    shell_screen,
+    shell_states,
+    shell_uniforms,
     standard_normals,
     werner,
     werner_matrix,
@@ -179,13 +183,78 @@ def _scan_part(total_dim: int, split: BipartiteSplit, radius: float, seed: int,
     chunk = shell_chunk(total_dim)
     tally = (0, 0, np.inf)
     for start in range(first, stop, chunk):
-        states = shell_batch(rng, total_dim, radius, min(chunk, stop - start))
-        if len(states):
-            tally = _merge(tally, _chunk_tally(states, split, tally[2]))
+        u = shell_uniforms(rng, total_dim, min(chunk, stop - start))
+        tally = _merge(tally, _chunk_tally(u, split, radius, tally[2]))
     return tally
 
 
-def _chunk_tally(states: np.ndarray, split: BipartiteSplit, floor: float) -> tuple:
+def _chunk_tally(u: np.ndarray, split: BipartiteSplit, radius: float, floor: float) -> tuple:
+    """Tally (see _merge) of the shell attempts whose uniforms are u, which
+    follow samples whose lowest PT floor is `floor`: the tally of eigen-solving
+    every accepted state's partial transpose, bit for bit.
+
+    The single-precision screen (`shell_screen`) settles each attempt's PSD
+    verdict or leaves it open.  Its candidates c' lie within SCREEN_MARGIN /
+    100 of the float64 ones c in HS norm, and the partial transpose is an
+    HS isometry, so by Weyl's inequality each PT floor of c' lies as close
+    to that of c.  A Cholesky certificate on the PTs of the accepted c',
+    with the margin m = SCREEN_MARGIN + `cholesky_margin(N)`, settles the
+    rest (`_screened_pt`):
+
+    - PPT verdict: PPT when it passes at -PPT_TOL + m, NPT when it fails at
+      -PPT_TOL - m; otherwise open.  The side tested on every row is the
+      NPT one once `floor` lies below -PPT_TOL, the PPT one before.
+    - Minimum: a row that passes at `floor` + m has a floor above `floor`.
+      Of the others (only the unsettled and NPT ones once a row is NPT or
+      `floor` is below -PPT_TOL, since every PPT floor lies above an NPT
+      one), `_likely_lowest` brackets the lowest below `top`, so some
+      accepted state has a PT floor below top + m; a row that passes at
+      min(floor, top + m) + m lies above it and cannot be the minimum.
+
+    The attempts left open, by the PSD screen or by either test, take the
+    float64 path (`shell_states`, `_exact_tally`) in one call, so every
+    verdict and the minimum's eigen-solve are those of the float64 states.
+    """
+    screen = shell_screen(u, split.dim, radius)
+    if screen.rejected.all():
+        return 0, 0, floor
+    ppt, unsettled = _screened_pt(screen.candidates, split, floor)
+    exact = ~(screen.rejected | screen.accepted)
+    exact[np.flatnonzero(screen.accepted)[unsettled]] = True
+    settled = ~unsettled
+    tally = (int(np.count_nonzero(settled)), int(np.count_nonzero(ppt & settled)), floor)
+    states = shell_states(u[exact], split.dim, radius)
+    return _merge(tally, _exact_tally(states, split, floor)) if len(states) else tally
+
+
+def _screened_pt(candidates: np.ndarray, split: BipartiteSplit, floor: float) -> tuple:
+    """(ppt, unsettled): bools per screened candidate, PPT by the certificate,
+    and left open by the PPT or the minimum test (see _chunk_tally)."""
+    pt = partial_transpose(candidates, split)
+    margin = SCREEN_MARGIN + cholesky_margin(split.dim)
+    # The first test runs on every row, so it takes the side that most rows
+    # lie on: the NPT side once the shell holds an NPT row.
+    ppt, npt = np.zeros(len(pt), dtype=bool), np.zeros(len(pt), dtype=bool)
+    if floor < -PPT_TOL:
+        npt[:] = ~cholesky_passes(pt, -PPT_TOL - margin)
+        rest = np.flatnonzero(~npt)
+        ppt[rest] = cholesky_passes(pt[rest], margin - PPT_TOL)
+    else:
+        ppt[:] = cholesky_passes(pt, margin - PPT_TOL)
+        rest = np.flatnonzero(~ppt)
+        npt[rest] = ~cholesky_passes(pt[rest], -PPT_TOL - margin)
+    unsettled = ~(ppt | npt)
+    rows = np.flatnonzero(~ppt) if floor < -PPT_TOL or npt.any() else np.arange(len(pt))
+    if floor < np.inf:
+        rows = rows[~cholesky_passes(pt[rows], floor + margin)]
+    if rows.size:
+        # No PT floor exceeds 1/N, the mean of a unit-trace spectrum.
+        _, top = _likely_lowest(pt, rows, min(floor, 1.0 / split.dim) + margin, margin)
+        unsettled[rows[~cholesky_passes(pt[rows], min(floor, top + margin) + margin)]] = True
+    return ppt, unsettled
+
+
+def _exact_tally(states: np.ndarray, split: BipartiteSplit, floor: float) -> tuple:
     """Tally (see _merge) of a stack of accepted states that follows samples
     whose lowest PT floor is `floor`; its minimum is the lowest of `floor`
     and the stack's PT floors, exactly.
@@ -216,15 +285,16 @@ def _chunk_tally(states: np.ndarray, split: BipartiteSplit, floor: float) -> tup
             open_rows = open_rows[~cholesky_passes(pt[open_rows], low + margin)]
         if open_rows.size:
             # No PT floor exceeds 1/N, the mean of a unit-trace spectrum.
-            row = _likely_lowest(pt, open_rows, min(low, 1.0 / split.dim) + margin, margin)
+            row, _ = _likely_lowest(pt, open_rows, min(low, 1.0 / split.dim) + margin, margin)
             low = min(low, float(np.linalg.eigvalsh(pt[row:row + 1])[0, 0]))
             open_rows = open_rows[open_rows != row]
     return len(pt), int(np.count_nonzero(ppt)), low
 
 
-def _likely_lowest(pt: np.ndarray, rows: np.ndarray, top: float, margin: float) -> int:
-    """The row, among `rows` of the PT stack, to eigen-solve next: bisect a
-    shift between -1 and `top`, keeping the rows that fail to factor there
+def _likely_lowest(pt: np.ndarray, rows: np.ndarray, top: float, margin: float) -> tuple[int, float]:
+    """The row, among `rows` of the PT stack, to eigen-solve next, and a shift
+    at which it fails to factor: bisect a shift between -1 and `top` (at
+    which every row fails), keeping the rows that fail to factor there
     whenever any does, until one row is left or the bracket is 4 margins
     wide.  No PT floor lies below -1 (the HS norm of a PT is at most 1)."""
     bottom = -1.0
@@ -235,7 +305,7 @@ def _likely_lowest(pt: np.ndarray, rows: np.ndarray, top: float, margin: float) 
             rows, top = failing, shift
         else:
             bottom = shift
-    return int(rows[0])
+    return int(rows[0]), top
 
 
 def _usable_cpus() -> int:
@@ -263,12 +333,14 @@ def shell_scan(total_dim: int, split: BipartiteSplit, radii, samples_per_shell: 
         raise ValueError("radii must be strictly ascending")
     if any(not 0.0 < r < outer for r in radii):
         raise ValueError(f"radii must lie in (0, {outer:.6f})")
+    if not serialize.is_int(samples_per_shell):
+        raise ValueError(f"samples_per_shell must be an integer, got {samples_per_shell!r}")
     if samples_per_shell < 1:
         raise ValueError("samples_per_shell must be >= 1")
     if base_seed < 0:
         raise ValueError(f"seed must be >= 0, got {base_seed}")
 
-    samples, chunk = samples_per_shell, shell_chunk(total_dim)
+    samples, chunk = int(samples_per_shell), shell_chunk(total_dim)
     chunks = -(-samples // chunk)
     k = min(_usable_cpus(), chunks)
     cuts = [min(j * chunks // k * chunk, samples) for j in range(k + 1)]
@@ -374,6 +446,8 @@ def claim_check(qudit_dim: int, samples: int = DEFAULT_SAMPLES_PER_SHELL,
     d = qudit_dim
     if not 2 <= d <= 6:
         raise ValueError(f"qudit_dim must lie in 2..6, got {d}")
+    if not serialize.is_int(samples):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if not 1 <= samples <= MAX_SAMPLES_PER_SHELL:
         raise ValueError(f"samples must lie in 1..{MAX_SAMPLES_PER_SHELL}, got {samples}")
     split = BipartiteSplit(d, d)

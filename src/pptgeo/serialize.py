@@ -80,7 +80,8 @@ def is_number(x) -> bool:
 
 
 def is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    """Whether x is an integer (a Python or numpy one), bools excluded."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def array_from_json(obj: dict) -> tuple[np.ndarray, tuple[int, int] | None]:
@@ -124,7 +125,12 @@ def save_json(obj: dict, path) -> None:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """The JSON value in the file at `path`; raises ValueError naming the file
+    when it is not UTF-8 JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def dumps(obj: dict) -> str:

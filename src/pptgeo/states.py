@@ -5,19 +5,21 @@ with G a square matrix of independent standard complex Gaussians.  Streams are
 reproducible: PCG64 supplies uniforms and Gaussians come from a vectorized
 Box-Muller transform, so a seed pins the output bit-for-bit.  Shell samples
 are drawn in stacks whose output and stream match drawing them one at a
-time: stacked traces and norms reduce each sample in numpy's per-matrix
-order, and the PSD test settles rows by closed-form bounds, then by a
-Cholesky certificate (see `shell_batch`), and eigen-solves only the rows
-both leave open.  Beyond the typical HS distance of a random state, where
-most attempts are rejects, a single-precision screen first drops the
-attempts that the same Cholesky certificate proves rejects by SCREEN_MARGIN;
-the rest take the exact float64 path, so the output stays bit-identical.
-The generator identity string is recorded in every report header.
+time.  Every stack first passes a screen on single-precision normals
+(`shell_screen`), which settles most PSD verdicts by a Cholesky certificate
+with SCREEN_MARGIN to spare; only the attempts it leaves open, or whose
+float64 states a caller needs, take the exact float64 path
+(`shell_states`).  There stacked traces and norms reduce each sample in
+numpy's per-matrix order, and the PSD test settles rows by closed-form
+bounds, then by a Cholesky certificate, and eigen-solves only the rows both
+leave open (see `shell_batch`).  The generator identity string is recorded
+in every report header.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,12 +34,11 @@ PURE_NORM_TOL = 1e-12
 # acceptance test already proves every accepted sample PSD and no second
 # solve is needed before it leaves the sampler.
 SHELL_PSD_TOL = 1e-12
-# Beyond the typical HS distance (`_typical_hs_radius`) most shell candidates
-# are rejects, and a screen on single-precision normals drops the rows whose
-# candidate a Cholesky certificate proves to have its smallest eigenvalue
-# below -SCREEN_MARGIN before the exact path runs.  Rounding the normals to
-# float32 moves that eigenvalue by order eps32 * s (below 1e-7 for
-# N = 4..64), so a screened row is a reject by a wide margin.
+# How far past a threshold the single-precision screen must prove an
+# eigenvalue before it settles a verdict (see shell_batch).  Rounding the
+# normals to float32 moves a shell candidate by at most 4e-7 in HS norm
+# (measured for N = 4..36), and so each eigenvalue of it and of its partial
+# transpose by no more, so each settled verdict holds by a wide margin.
 SCREEN_MARGIN = 1e-4
 # Shell samples are stacked so that one N x N complex stack takes about this
 # many bytes: 256 samples at N = 4, 16 at N = 16.  It bounds peak memory.
@@ -178,6 +179,14 @@ def shell_chunk(dim: int) -> int:
     return max(1, SHELL_CHUNK_BYTES // (16 * dim * dim))
 
 
+def shell_uniforms(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """The uniforms of `count` shell attempts, shape (count, 2, N^2): one
+    PCG64 draw, in the stream order of drawing the attempts one at a time."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    return rng.random((count, 2, dim * dim))
+
+
 def _stacked_traces(w: np.ndarray) -> np.ndarray:
     """Real parts of the traces of a (k, N, N) stack, each bit-identical to
     `np.trace(w[i]).real`."""
@@ -207,49 +216,130 @@ def _scale_rows(x: np.ndarray, factors: np.ndarray) -> None:
     of f it is `x / f[:, None, None]`, which numpy computes as a multiply
     by 1/f.  (Only a signed zero entry could differ.)
     """
-    parts = x.view(np.float64).reshape(len(x), -1)
+    parts = x.view(np.float64).reshape(len(x), 2 * x.shape[1] * x.shape[2])
     parts *= factors[:, None]
 
 
 def _shift_diagonal(x: np.ndarray, value: float) -> None:
     """Add value * I to each matrix of a (k, N, N) complex stack, in place, on
     the real diagonal only: `x + value * I` adds zero everywhere else."""
-    diagonal = x.reshape(len(x), -1)[:, :: x.shape[1] + 1].real
+    diagonal = x.reshape(len(x), x.shape[1] * x.shape[2])[:, :: x.shape[1] + 1].real
     diagonal += value
+
+
+def _to_shell(delta: np.ndarray, scale: np.ndarray, dim: int) -> np.ndarray:
+    """The candidates I/N + s Delta of a (k, N, N) stack of traceless parts,
+    computed in place."""
+    _scale_rows(delta, scale)
+    _shift_diagonal(delta, 1.0 / dim)
+    return delta
+
+
+def _check_traces(stack: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of the stack has unit trace."""
+    trace_dev = float(np.max(np.abs(_stacked_traces(stack) - 1.0), initial=0.0))
+    if trace_dev > DENSITY_TRACE_TOL:
+        raise ValueError(f"shell sample trace deviates from 1 by {trace_dev:.3e}")
+
+
+def _inside_floor(dim: int, radius: float) -> bool:
+    """Whether `radius` lies within the spectral floor 1/sqrt(N(N-1)), inside
+    which every shell candidate is PSD (see shell_batch)."""
+    return radius <= 1.0 / np.sqrt(dim * (dim - 1))
 
 
 def _psd_bounds(dim: int, scale: np.ndarray, radius: float) -> np.ndarray:
     """Rows of a shell-candidate stack, with rescale factors `scale`, that
     closed-form bounds certify as accepted (see shell_batch)."""
-    if radius <= 1.0 / np.sqrt(dim * (dim - 1)):
+    if _inside_floor(dim, radius):
         return np.ones(len(scale), dtype=bool)
     return scale <= 1.0
 
 
-def _typical_hs_radius(dim: int) -> float:
-    """HS distance from I/N of a typical HS-random state, r_hs(N).
+def _float64_candidates(u: np.ndarray, dim: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates of shell uniforms (k, 2, N^2), each bit-identical to
+    one computed alone, and their rescale factors s."""
+    re, im = _box_muller(u)
+    g = (re + 1j * im).reshape(len(u), dim, dim)
+    rho0 = g @ g.conj().transpose(0, 2, 1)
+    _scale_rows(rho0, 1.0 / _stacked_traces(rho0))
+    # Symmetrized as DensityMatrix stores an HS state.  The steps below
+    # (subtract a real diagonal, scale by a real factor, add it back) keep
+    # every candidate Hermitian to the bit, so none needs a second pass.
+    candidates = (rho0 + rho0.conj().transpose(0, 2, 1)) / 2
+    _shift_diagonal(candidates, -1.0 / dim)
+    scale = radius / _stacked_norms(candidates)
+    return _to_shell(candidates, scale, dim), scale
 
-    E tr rho0^2 = 2N/(N^2+1) (Zyczkowski & Sommers, J. Phys. A 34, 7111,
-    2001), so ||rho0 - I/N||^2 averages 2N/(N^2+1) - 1/N.
-    """
-    return float(np.sqrt(2.0 * dim / (dim * dim + 1) - 1.0 / dim))
+
+def shell_states(u: np.ndarray, dim: int, radius: float) -> np.ndarray:
+    """The accepted states of the shell attempts whose uniforms are u, by the
+    float64 path (see shell_batch): a (k, N, N) stack in row order."""
+    if not len(u):
+        return np.empty((0, dim, dim), dtype=np.complex128)
+    candidates, scale = _float64_candidates(u, dim, radius)
+    keep = _psd_bounds(dim, scale, radius)
+    undecided = ~keep
+    if undecided.any():
+        keep[undecided] = min_eig_at_least(candidates[undecided], -SHELL_PSD_TOL)
+    accepted = candidates[keep]
+    _check_traces(accepted)
+    return accepted
 
 
-def _screen_rejects(u: np.ndarray, dim: int, radius: float) -> np.ndarray:
-    """Rows of shell uniforms (count, 2, N^2) whose candidates a Cholesky
-    certificate on single-precision normals proves rejects (see shell_batch)."""
+class ShellScreen(NamedTuple):
+    """Shell attempts after the single-precision screen (see shell_screen)."""
+
+    rejected: np.ndarray  # bool per attempt: the float64 path rejects it
+    accepted: np.ndarray  # bool per attempt: the float64 path accepts it
+    candidates: np.ndarray  # the screened candidates of the accepted attempts
+
+
+def _float32_gram(u: np.ndarray, dim: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """rho0' = w / tr w, with w = G G† of the single-precision normals of
+    shell uniforms (k, 2, N^2), and the rescale factors s' = radius / ||Delta'||."""
     count = len(u)
-    re, im = _box_muller(u, np.float32)
-    g = (re + 1j * im).astype(np.complex128).reshape(count, dim, dim)
+    g = np.empty((count, dim * dim), dtype=np.complex128)
+    g.real, g.imag = _box_muller(u, np.float32)
+    g = g.reshape(count, dim, dim)
     w = g @ g.conj().transpose(0, 2, 1)
-    trace = _stacked_traces(w)
+    trace = np.einsum("kii->k", w).real
     flat = w.reshape(count, dim * dim).view(np.float64)
     scale = radius / np.sqrt(np.einsum("ij,ij->i", flat, flat) / (trace * trace) - 1.0 / dim)
-    w /= trace[:, None, None]
-    # The candidate's smallest eigenvalue lies below -SCREEN_MARGIN exactly
-    # when lambda_min(rho0) lies below this threshold.
-    threshold = 1.0 / dim - (1.0 / dim + SCREEN_MARGIN) / scale
-    return ~cholesky_passes(w, threshold - cholesky_margin(dim))
+    _scale_rows(w, 1.0 / trace)
+    return w, scale
+
+
+def shell_screen(u: np.ndarray, dim: int, radius: float) -> ShellScreen:
+    """The PSD verdicts that the single-precision screen settles for shell
+    uniforms (k, 2, N^2), and the screened candidates c' = I/N + s' Delta'
+    of the attempts it accepts, each checked for unit trace (see
+    shell_batch)."""
+    count = len(u)
+    rho0, scale = _float32_gram(u, dim, radius)
+    rejected, accepted = np.zeros(count, dtype=bool), np.ones(count, dtype=bool)
+    margin = cholesky_margin(dim)
+    if not _inside_floor(dim, radius):
+        rows = np.flatnonzero((1.0 - scale) / dim < SCREEN_MARGIN + margin)
+        rho0_rows, scale_rows = (rho0, scale) if len(rows) == count else (rho0[rows], scale[rows])
+
+        def threshold(level):
+            # lambda_min(c') < level exactly when lambda_min(rho0') lies below
+            # this; no eigenvalue of rho0' lies below -1.
+            return np.maximum(1.0 / dim - (1.0 / dim - level) / scale_rows, -1.0)
+
+        rejected[rows] = ~cholesky_passes(rho0_rows, threshold(-SHELL_PSD_TOL - SCREEN_MARGIN) - margin)
+        rest = np.flatnonzero(~rejected[rows])
+        accepted[rows] = False
+        accepted[rows[rest]] = cholesky_passes(rho0_rows[rest],
+                                               threshold(SCREEN_MARGIN - SHELL_PSD_TOL)[rest] + margin)
+    if not accepted.any():
+        return ShellScreen(rejected, accepted, np.empty((0, dim, dim), dtype=np.complex128))
+    candidates = rho0[accepted]
+    _shift_diagonal(candidates, -1.0 / dim)
+    candidates = _to_shell(candidates, scale[accepted], dim)
+    _check_traces(candidates)
+    return ShellScreen(rejected, accepted, candidates)
 
 
 def shell_batch(rng: np.random.Generator, dim: int, radius: float, count: int) -> np.ndarray:
@@ -267,81 +357,53 @@ def shell_batch(rng: np.random.Generator, dim: int, radius: float, count: int) -
     `np.linalg.norm` do, so the result and the generator stream are
     bit-identical to `count` single attempts.
 
-    Closed-form bounds certify most accepts without an eigen-solve.
-    With s = radius / ||Delta||, a candidate is
-    I/N + s Delta = (1 - s) I/N + s rho0, so:
+    The screen (`shell_screen`) runs first, at every radius.  On a float32
+    Box-Muller transform, whose cosine and sine cost a tenth of the float64
+    ones, it forms the Gram matrix w = G G† of the normals, t = tr w,
+    rho0' = w / t, ||Delta'||^2 = ||w||_F^2 / t^2 - 1/N and s' =
+    radius / ||Delta'||.  With s' > 0 the candidate c' = I/N + s' Delta'
+    has the smallest eigenvalue 1/N - s' (1/N - lambda_min(rho0')), which
+    lies below a level L exactly when lambda_min(rho0') lies below
+    tau(L) = 1/N - (1/N - L) / s'.  So, with m = `cholesky_margin(N)`:
+
+    - radius <= 1/sqrt(N(N-1)), the spectral floor, accepts every row (as
+      below), and so does (1 - s') / N >= SCREEN_MARGIN + m, since
+      c' = (1 - s') I/N + s' rho0' and rho0' is PSD up to rounding.
+    - Of the other rows, one is rejected when rho0' - (tau - m) I fails to
+      factor (`cholesky_passes`) at L = -SHELL_PSD_TOL - SCREEN_MARGIN, and
+      accepted when rho0' - (tau + m) I factors at L = -SHELL_PSD_TOL +
+      SCREEN_MARGIN; tau is taken no lower than -1, below which no
+      eigenvalue of rho0' lies.
+
+    The rest are left open.  The float64 candidate c lies within 4e-7 of c'
+    in HS norm (measured for N = 4..36; the tests assert SCREEN_MARGIN / 100),
+    so by Weyl's inequality each settled row gets the verdict that the
+    float64 path gives.  This function needs every accepted
+    state's float64 bits, so it sends every row the screen does not reject
+    through that path (`shell_states`).  There closed-form bounds certify
+    most accepts without an eigen-solve.  With s = radius / ||Delta||, a
+    candidate is I/N + s Delta = (1 - s) I/N + s rho0, so:
 
     - s <= 1 makes it a convex mix of PSD matrices: certified accept.
-    - radius <= 1/sqrt(N(N-1)), the spectral floor, is a certified accept
-      for every row: a traceless Hermitian matrix of HS norm r has no
-      eigenvalue below -r sqrt((N-1)/N), which is -1/N there.
+    - radius <= 1/sqrt(N(N-1)) is a certified accept for every row: a
+      traceless Hermitian matrix of HS norm r has no eigenvalue below
+      -r sqrt((N-1)/N), which is -1/N there.
 
     Rounding moves these bounds by order N * eps, far inside the
     eigen-solve's own tolerance, so each certified row gets the verdict the
-    eigen-solve would give.  The remaining rows take a Cholesky certificate
-    (`min_eig_at_least`, with the margin m = `cholesky_margin(N)` derived
-    there): a row whose candidate minus (-SHELL_PSD_TOL + m) I factors is
-    an accept, one whose candidate minus (-SHELL_PSD_TOL - m) I fails to
-    factor is a reject, and m covers the rounding of the factorization and
-    of `eigvalsh` alike, so both match the eigen-solve's verdict.  Only the
-    rows within m of the threshold go through one stacked `eigvalsh`.
-
-    Beyond the typical HS distance r_hs(N) (`_typical_hs_radius`) almost
-    every candidate has s > 1 and most are rejects.  There the uniforms
-    first pass a screen (`_screen_rejects`) built on a float32 Box-Muller
-    transform, whose cosine and sine cost a tenth of the float64 ones:
-    the Gram matrix w = G G† of those normals, t = tr w, rho0 = w / t,
-    ||Delta||^2 = ||w||_F^2 / t^2 - 1/N, and, since s > 0, the exact
-    smallest eigenvalue 1/N - s (1/N - lambda_min(rho0)) of the candidate.
-    It lies below -SCREEN_MARGIN exactly when lambda_min(rho0) lies below
-    tau = 1/N - (1/N + SCREEN_MARGIN) / s, and a row is dropped when
-    rho0 - (tau - m) I fails to factor (`cholesky_passes`), which proves
-    that.  (Beyond r_hs, s > r_hs(N) / sqrt((N-1)/N) > 1/sqrt(N), so
-    |tau| < 1, as `cholesky_margin` assumes.)  SCREEN_MARGIN is far above
-    what the float32 normals move the eigenvalue, so each dropped row is
-    one the exact path rejects.  The surviving rows' uniforms go through
-    the float64 path unchanged, so output and stream stay bit-identical.
-    Inside r_hs the screen never runs, and every claimed PPT radius
-    (`claim_check`, d = 2..6) lies inside it: at d = 2 the claim is
-    1/sqrt(12) = 0.2887 < r_hs(4) = 0.4697 (the general formula's 0.4733
-    would lie beyond it).
+    eigen-solve would give.  The remaining rows take the Cholesky
+    certificate (`min_eig_at_least`): a row whose candidate minus
+    (-SHELL_PSD_TOL + m) I factors is an accept, one whose candidate minus
+    (-SHELL_PSD_TOL - m) I fails to factor is a reject, and m covers the
+    rounding of the factorization and of `eigvalsh` alike, so both match
+    the eigen-solve's verdict.  Only the rows within m of the threshold go
+    through one stacked `eigvalsh`.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    u = rng.random((count, 2, dim * dim))
-    if radius > _typical_hs_radius(dim):
-        u = u[~_screen_rejects(u, dim, radius)]
-    count = len(u)
-    if not count:
-        return np.empty((0, dim, dim), dtype=np.complex128)
-
-    re, im = _box_muller(u)
-    g = (re + 1j * im).reshape(count, dim, dim)
-    rho0 = g @ g.conj().transpose(0, 2, 1)
-    _scale_rows(rho0, 1.0 / _stacked_traces(rho0))
-    # Symmetrized as DensityMatrix stores an HS state.  The steps below
-    # (subtract a real diagonal, scale by a real factor, add it back) keep
-    # every candidate Hermitian to the bit, so none needs a second pass.
-    candidates = (rho0 + rho0.conj().transpose(0, 2, 1)) / 2
-    _shift_diagonal(candidates, -1.0 / dim)
-    scale = radius / _stacked_norms(candidates)
-    _scale_rows(candidates, scale)
-    _shift_diagonal(candidates, 1.0 / dim)
-
-    keep = _psd_bounds(dim, scale, radius)
-    undecided = ~keep
-    if undecided.any():
-        keep[undecided] = min_eig_at_least(candidates[undecided], -SHELL_PSD_TOL)
-    accepted = candidates[keep]
-
-    trace_dev = float(np.max(np.abs(_stacked_traces(accepted) - 1.0), initial=0.0))
-    if trace_dev > DENSITY_TRACE_TOL:
-        raise ValueError(f"shell sample trace deviates from 1 by {trace_dev:.3e}")
-    return accepted
+    u = shell_uniforms(rng, dim, count)
+    return shell_states(u[~shell_screen(u, dim, radius).rejected], dim, radius)
 
 
 def shell_attempt(rng: np.random.Generator, dim: int, radius: float) -> DensityMatrix | None:
     """One shell attempt (see shell_batch); None when it leaves the PSD cone."""
     accepted = shell_batch(rng, dim, radius, 1)
     return DensityMatrix(dim=dim, matrix=accepted[0]) if len(accepted) else None
-

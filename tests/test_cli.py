@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pptgeo import cli, distill, serialize
-from pptgeo.cli import main
+from pptgeo.cli import build_parser, main
 from pptgeo.states import WernerParams, max_entangled, werner
 
 
@@ -200,9 +200,26 @@ def test_verify_refuses_a_file_that_is_no_claim_report(capsys, werner26_file):
     assert capsys.readouterr().err == "error: missing field 'qudit_dim'\n"
 
 
+@pytest.mark.parametrize("command", [["verify"], ["classify", "--input"]])
+def test_a_file_that_is_no_json_is_named(tmp_path, capsys, command):
+    path = tmp_path / "g.json"
+    path.write_text("garbage")
+    assert main(command + [str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n")
+
+
 def test_claim_check_over_the_sample_cap_exits_2(capsys):
     assert main(["claim-check", "--d", "2", "--samples", "1000001"]) == 2
     assert capsys.readouterr().err == "error: samples must lie in 1..1000000, got 1000001\n"
+
+
+def test_main_parses_with_one_parser_per_process(capsys):
+    parser = build_parser()
+    for d in ("3", "4"):
+        assert main(["bounds", "--d", d, "--n", "2"]) == 0
+    assert build_parser() is parser
+    assert build_parser.cache_info().misses <= 1
 
 
 def test_missing_file_is_an_error(capsys):
@@ -262,9 +279,10 @@ GOLDEN_DIGESTS = [
     (["shell-scan", "--N", "16", "--split", "4x4", "--radii", "0.12,0.16,0.2,0.24,0.27",
       "--samples", "500", "--seed", "3"],
      "ad7a8814e7937d5f1eb98e60b521da17229045e9903ae04499c2f4a9aa42afa4"),
-    # Every radius lies past r_hs(N) (0.470 at N = 4, 0.329 at N = 9), where
-    # the single-precision screen runs: from shells that still accept
-    # samples to one near the outer radius that accepts none.
+    # Every radius lies past the typical HS distance r_hs(N) of a random
+    # state (0.470 at N = 4, 0.329 at N = 9), where the single-precision
+    # screen drops most attempts: from shells that still accept samples to
+    # one near the outer radius that accepts none.
     (["shell-scan", "--N", "4", "--split", "2x2", "--radii", "0.48,0.55,0.62,0.69,0.85",
       "--samples", "2000", "--seed", "5"],
      "01e1518be58d3d487d90e38414c19c3cf06c2043ff068dcdb27ca99dc6b2fc88"),

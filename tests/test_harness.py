@@ -42,7 +42,7 @@ from pptgeo.harness import (
 from pptgeo.linalg import hs_distance
 from pptgeo.states import PureState, WernerParams, maximally_mixed, shell_chunk, werner
 
-from conftest import werner_min_pt_oracle
+from conftest import reference_min_pt_eigenvalue, reference_shell_attempt, werner_min_pt_oracle
 
 
 # --- bisection ---------------------------------------------------------------
@@ -236,10 +236,12 @@ def test_advanced_stream_matches_rows_of_one_draw():
 
 
 def _landscape_radii(total):
-    """Inside the spectral floor, just inside and outside r_hs(N), halfway
-    from r_hs to the outer radius (the screen drops whole chunks) and at
-    0.99 of the outer radius, which no sample reaches."""
-    typical, outer = states._typical_hs_radius(total), math.sqrt((total - 1) / total)
+    """Inside the spectral floor, just inside and outside the typical HS
+    distance r_hs(N) of a random state, halfway from r_hs to the outer
+    radius (the screen drops whole chunks) and at 0.99 of the outer radius,
+    which no sample reaches."""
+    typical = math.sqrt(2 * total / (total * total + 1) - 1 / total)
+    outer = math.sqrt((total - 1) / total)
     return (0.9 / math.sqrt(total * (total - 1)), 0.95 * typical, 1.05 * typical,
             (typical + outer) / 2, 0.99 * outer)
 
@@ -264,8 +266,8 @@ def test_split_scan_matches_in_process_scan(monkeypatch, fresh_helpers, factors)
 
 
 # N = 9 stacks 50 samples a chunk, N = 4 stacks 256.  The radii run past
-# r_hs(N), where the screen drops rows, and at N = 4 to a shell that no
-# sample reaches.
+# r_hs(N), where the screen drops most rows, and at N = 4 to a shell that
+# no sample reaches.
 PARITY_CASES = [((3, 3), (0.05, 0.15, 0.3, 0.45, 0.8), 130),
                 ((2, 2), (0.1, 0.3, 0.5, 0.7, 0.86), 300),
                 ((2, 3), (0.1, 0.25, 0.4, 0.55, 0.7), 1)]
@@ -566,6 +568,39 @@ def test_certified_tally_equals_eigen_solving_every_row(factors, fraction, first
     assert _tally_bytes(harness._scan_part(*job)) == _tally_bytes(_reference_scan_part(*job))
 
 
+# Splits of N = 4, 6, 8, 9, 16 and 25 with about three chunks of samples each.
+SCREEN_PARITY_CASES = [((2, 2), 600), ((2, 3), 300), ((2, 4), 200), ((3, 3), 160), ((4, 4), 60),
+                       ((5, 5), 40)]
+
+
+@pytest.mark.parametrize("factors, samples", SCREEN_PARITY_CASES)
+def test_screened_tally_equals_per_sample_reference(monkeypatch, factors, samples):
+    # Every shell tally equals drawing, accepting and eigen-solving one
+    # sample at a time, from half the spectral floor to 0.99 of the outer
+    # radius; some rows are settled by the single-precision screen and some
+    # by the float64 path.
+    split = BipartiteSplit(*factors)
+    dim = split.dim
+    sent = []
+    shell_states = harness.shell_states
+
+    def counted(u, dim, radius):
+        sent.append(len(u))
+        return shell_states(u, dim, radius)
+
+    monkeypatch.setattr(harness, "shell_states", counted)
+    floor, outer = 1 / math.sqrt(dim * (dim - 1)), math.sqrt((dim - 1) / dim)
+    radii = np.linspace(0.5 * floor, 0.99 * outer, 7)
+    for index, radius in enumerate(radii):
+        rng = np.random.default_rng([dim, index])
+        attempts = [reference_shell_attempt(rng, dim, radius) for _ in range(samples)]
+        floors = [reference_min_pt_eigenvalue(a, *factors) for a in attempts if a is not None]
+        want = len(floors), sum(f >= -PPT_TOL for f in floors), min(floors, default=np.inf)
+        got = harness._scan_part(dim, split, radius, [dim, index], 0, samples)
+        assert _tally_bytes(got) == _tally_bytes(want), radius
+    assert 0 < sum(sent) < len(radii) * samples
+
+
 def _npt_shell_states(split, count, seed):
     """Accepted states of a shell beyond the PPT floor, where PPT and NPT rows mix."""
     radius = 1.3 / math.sqrt(split.dim * (split.dim - 1))
@@ -589,10 +624,10 @@ def test_a_later_row_lower_by_less_than_the_margin_wins(d):
     floors = np.linalg.eigvalsh(partial_transpose(rows, split))[:, 0]
     assert floors[1] < floors[0]
     assert floors[0] - floors[1] < harness.cholesky_margin(split.dim)
-    got = harness._chunk_tally(rows, split, np.inf)
+    got = harness._exact_tally(rows, split, np.inf)
     assert _tally_bytes(got) == _tally_bytes(_tally_of_every_row(rows, split))
-    first = harness._chunk_tally(rows[:1], split, np.inf)
-    merged = harness._merge(first, harness._chunk_tally(rows[1:], split, first[2]))
+    first = harness._exact_tally(rows[:1], split, np.inf)
+    merged = harness._merge(first, harness._exact_tally(rows[1:], split, first[2]))
     assert _tally_bytes(merged) == _tally_bytes(got)
 
 
@@ -617,7 +652,7 @@ def test_werner_rows_next_to_the_ppt_threshold_get_the_eigensolve_verdict(monkey
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    got = harness._chunk_tally(stack, split, np.inf)
+    got = harness._exact_tally(stack, split, np.inf)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     assert _tally_bytes(got) == _tally_bytes(_tally_of_every_row(stack, split))
     if harness.cholesky_margin(split.dim) > 1e-12:
@@ -752,6 +787,18 @@ def test_claim_check_validates_domain():
     for samples in (0, harness.MAX_SAMPLES_PER_SHELL + 1):
         with pytest.raises(ValueError, match=f"samples must lie in 1..1000000, got {samples}"):
             claim_check(2, samples=samples)
+
+
+@pytest.mark.parametrize("samples", [20.0, True, "20", None])
+def test_sample_counts_must_be_integers(samples):
+    with pytest.raises(ValueError, match=re.escape(f"samples must be an integer, got {samples!r}")):
+        claim_check(2, samples=samples)
+    with pytest.raises(ValueError, match=re.escape(f"samples_per_shell must be an integer, got {samples!r}")):
+        shell_scan(4, BipartiteSplit(2, 2), [0.1], samples_per_shell=samples)
+    # numpy integers are integers too, recorded as Python ones.
+    report = claim_check(2, samples=np.int64(3))
+    assert [type(row.samples) for row in report.shells.rows] == [int] * 4
+    assert report.shells.samples_per_shell == 3 and type(report.shells.samples_per_shell) is int
 
 
 def test_claim_report_roundtrip_and_reverification(tmp_path):

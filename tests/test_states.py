@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pptgeo import harness, states, workers
+from pptgeo import harness, states
 from pptgeo.bipartite import BipartiteSplit, is_ppt, min_pt_eigenvalues
-from pptgeo.bounds import ppt_radius
 from pptgeo.harness import claim_check
 from pptgeo.linalg import hs_distance
 from pptgeo.states import (
@@ -220,15 +219,16 @@ def test_shell_acceptance_nonincreasing_report():
 # --- batched shell kernel vs the per-sample reference ---------------------
 
 # Radii in units of the spectral floor 1/sqrt(N(N-1)).  The first lies
-# inside the floor, where every row is a certified accept; the middle two mix
-# PPT and NPT samples and also reject some attempts; the last sits at 0.95 of
-# the outer radius sqrt((N-1)/N) = (N-1) floors, beyond r_hs(N), where the
-# single-precision screen drops most rows.  At N = 25 the screen drops every
-# row at 5.0 floors, just beyond r_hs(25) = 4.89 floors, so 4.8 floors, just
-# inside it, adds rows that the closed-form bounds leave to the certificate.
+# inside the floor, where every row is a certified accept; the middle ones
+# mix PPT and NPT samples and also reject some attempts; the last sits at
+# 0.95 of the outer radius sqrt((N-1)/N) = (N-1) floors, where the
+# single-precision screen drops most rows.  At N = 25, 4.9 floors lies at
+# the typical HS distance of a random state, where s is near 1, and adds
+# rows within the screen's margin of the PSD boundary, which the closed-form
+# bounds leave to the certificate.
 SHELL_CASES = {4: ((2, 2), (0.9, 1.5, 2.0, 2.85)), 6: ((2, 3), (0.9, 1.7, 2.2, 4.75)),
                8: ((2, 4), (0.9, 2.0, 2.6, 6.65)), 9: ((3, 3), (0.9, 2.2, 2.8, 7.6)),
-               16: ((4, 4), (0.9, 2.2, 3.8, 14.25)), 25: ((5, 5), (0.9, 3.0, 4.8, 5.0, 22.8))}
+               16: ((4, 4), (0.9, 2.2, 3.8, 14.25)), 25: ((5, 5), (0.9, 3.0, 4.9, 5.0, 22.8))}
 
 
 def test_shell_chunk_budget():
@@ -243,7 +243,7 @@ def test_shell_batch_bit_identical_to_per_sample_reference(dim, monkeypatch):
     # reject by the single-precision screen, eigen-solve.
     branches = np.zeros(3, dtype=int)
     bounds = states._psd_bounds
-    screen = states._screen_rejects
+    screen = states.shell_screen
 
     def counted_bounds(dim, scale, radius):
         accept = bounds(dim, scale, radius)
@@ -251,12 +251,12 @@ def test_shell_batch_bit_identical_to_per_sample_reference(dim, monkeypatch):
         return accept
 
     def counted_screen(u, dim, radius):
-        reject = screen(u, dim, radius)
-        branches[1] += reject.sum()
-        return reject
+        result = screen(u, dim, radius)
+        branches[1] += result.rejected.sum()
+        return result
 
     monkeypatch.setattr(states, "_psd_bounds", counted_bounds)
-    monkeypatch.setattr(states, "_screen_rejects", counted_screen)
+    monkeypatch.setattr(states, "shell_screen", counted_screen)
 
     (m, n), factors = SHELL_CASES[dim]
     chunk = shell_chunk(dim)
@@ -290,7 +290,7 @@ def test_shell_batch_bit_identical_to_per_sample_reference(dim, monkeypatch):
 def test_shell_batch_empty_and_negative_count(monkeypatch):
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    for dim, radius in ((4, 0.2), (9, 0.9)):  # inside and beyond r_hs(N)
+    for dim, radius in ((4, 0.2), (9, 0.9)):  # inside the floor and near the outer radius
         empty = shell_batch(rng, dim, radius, 0)
         assert empty.shape == (0, dim, dim) and empty.dtype == np.complex128
     assert rng.bit_generator.state == state
@@ -333,23 +333,25 @@ def _uniforms_for(g):
 @pytest.mark.parametrize("dim", sorted(SHELL_CASES))
 def test_screen_drops_only_exact_rejects(dim):
     # Every row the single-precision screen drops has a float64 candidate
-    # whose smallest eigenvalue lies below -SHELL_PSD_TOL, from just beyond
-    # r_hs(N) to 0.99 of the outer radius; and it drops most of them.
+    # whose smallest eigenvalue lies below -SHELL_PSD_TOL, and every row it
+    # accepts one that does not, from half the spectral floor to 0.99 of the
+    # outer radius; and it drops most of the rejects.
     count = 200
-    outer = np.sqrt((dim - 1) / dim)
+    floor, outer = 1 / np.sqrt(dim * (dim - 1)), np.sqrt((dim - 1) / dim)
     screened = rejects = 0
-    for radius in np.linspace(1.001 * states._typical_hs_radius(dim), 0.99 * outer, 6):
+    for radius in np.linspace(0.5 * floor, 0.99 * outer, 8):
         u = np.random.default_rng([dim, int(radius * 1e6)]).random((count, 2, dim * dim))
-        drop = states._screen_rejects(u, dim, radius)
+        screen = states.shell_screen(u, dim, radius)
         exact = _exact_rejects(u, dim, radius)
-        assert not np.any(drop & ~exact), f"screened an exact accept at r={radius}"
-        screened += int(drop.sum())
+        assert not np.any(screen.rejected & ~exact), f"screened an exact accept at r={radius}"
+        assert not np.any(screen.accepted & exact), f"accepted an exact reject at r={radius}"
+        screened += int(screen.rejected.sum())
         rejects += int(exact.sum())
     assert screened >= 0.99 * rejects, f"screened {screened} of {rejects} exact rejects"
 
 
 def test_screen_on_constructed_rows():
-    dim, radius = 4, 0.6  # beyond r_hs(4) = 0.4697
+    dim, radius = 4, 0.6
     rng = np.random.default_rng(5)
     # rho0 = P / (N - 1), P = I - |phi><phi| for the uniform unit vector phi:
     # an equal diagonal 1/N and lambda_min(rho0) = 0, so no bound on the
@@ -359,42 +361,60 @@ def test_screen_on_constructed_rows():
                  for _ in range(4)]
     u = _uniforms_for(np.stack([proj] + [proj @ v for v in unitaries]))
     assert _exact_rejects(u, dim, radius).all()
-    assert states._screen_rejects(u, dim, radius).all()
+    assert states.shell_screen(u, dim, radius).rejected.all()
 
     # Diagonal rho0 = diag(p) on the shell where the candidate's smallest
-    # eigenvalue 1/N - s (1/N - min p) is exactly 0: accepted, never screened.
+    # eigenvalue 1/N - s (1/N - min p) is exactly 0: accepted, never
+    # screened, and left to the float64 path.
     rows = 0
     while rows < 16:
         p = rng.dirichlet(np.ones(dim))
         edge = np.linalg.norm(p - 1.0 / dim) / (1.0 - dim * p.min())
-        if not states._typical_hs_radius(dim) < edge < np.sqrt((dim - 1) / dim):
+        if not 1 / np.sqrt(dim * (dim - 1)) < edge < np.sqrt((dim - 1) / dim):
             continue
         u = _uniforms_for(np.diag(np.sqrt(p))[None])
         assert not _exact_rejects(u, dim, edge)[0]
-        assert not states._screen_rejects(u, dim, edge)[0], f"screened a PSD boundary row, p={p}"
+        screen = states.shell_screen(u, dim, edge)
+        assert not screen.rejected[0], f"screened a PSD boundary row, p={p}"
+        assert not screen.accepted[0], f"settled a PSD boundary row, p={p}"
         rows += 1
 
 
-@pytest.mark.parametrize("d", range(2, 7))
-def test_claimed_ppt_radius_lies_inside_typical_hs_distance(d):
-    # The screen runs only beyond r_hs(N), so no claim-check shell (at most
-    # the claimed PPT radius) ever takes it.
-    assert ppt_radius(d * d) < states._typical_hs_radius(d * d)
+def test_screened_candidates_lie_within_a_hundredth_of_the_margin():
+    # The screen's verdicts rest on ||c' - c||_F, between a screened
+    # candidate and its float64 one, lying far below SCREEN_MARGIN: by
+    # Weyl's inequality it bounds how far the spectra of the candidate and
+    # of its partial transpose move.
+    worst = 0.0
+    for dim in range(4, 37):
+        outer = np.sqrt((dim - 1) / dim)
+        for radius in np.linspace(0.5 / np.sqrt(dim * (dim - 1)), 0.99 * outer, 4):
+            u = np.random.default_rng([dim, int(radius * 1e6)]).random((40, 2, dim * dim))
+            exact, _ = states._float64_candidates(u, dim, radius)
+            rho0, scale = states._float32_gram(u, dim, radius)
+            states._shift_diagonal(rho0, -1.0 / dim)
+            screened = states._to_shell(rho0, scale, dim)
+            worst = max(worst, float(np.max(np.linalg.norm(screened - exact, axis=(1, 2)))))
+    assert worst <= states.SCREEN_MARGIN / 100, worst
 
 
-def test_claim_check_runs_without_the_screen(monkeypatch, fresh_helpers):
-    def no_screen(*args, **kwargs):
-        raise AssertionError("screen ran on a claim-check shell")
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_claim_check_sends_under_2_percent_of_rows_to_the_float64_path(monkeypatch, d):
+    # Counted in this process, over the default 2,000 samples per shell: the
+    # rows the screen leaves open, by its PSD, PPT or minimum test.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    sent = []
+    shell_states = harness.shell_states
 
-    # 120 samples are three chunks at N = 9, so a helper process scans part
-    # of each shell; it runs the code as loaded when forked, so the pool is
-    # closed after the patch.
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(states, "_screen_rejects", no_screen)
-    workers._POOL.close()
-    report = claim_check(3, samples=120)
-    assert all(row.samples == 120 for row in report.shells.rows)
-    assert len(workers._POOL.helpers) == 1
+    def counted(u, dim, radius):
+        sent.append(len(u))
+        return shell_states(u, dim, radius)
+
+    monkeypatch.setattr(harness, "shell_states", counted)
+    report = claim_check(d, base_seed=1)
+    rows = sum(row.samples for row in report.shells.rows)
+    assert rows == 4 * harness.DEFAULT_SAMPLES_PER_SHELL
+    assert 0 < sum(sent) < 0.02 * rows, f"{sum(sent)} of {rows} rows took the float64 path"
 
 
 @pytest.mark.parametrize("count", [1, 7, 50])
