@@ -398,6 +398,24 @@ def test_screened_candidates_lie_within_a_hundredth_of_the_margin():
     assert worst <= states.SCREEN_MARGIN / 100, worst
 
 
+def test_claim_check_screens_every_shell_chunk(monkeypatch):
+    # Every radius takes one sampler path: each chunk of every claim-check
+    # shell, all of them inside r_hs(N), goes through the screen first.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    radii = []
+    shell_screen = harness.shell_screen
+
+    def counted(u, dim, radius):
+        radii.append(radius)
+        return shell_screen(u, dim, radius)
+
+    monkeypatch.setattr(harness, "shell_screen", counted)
+    report = claim_check(3, samples=120)
+    assert all(row.samples == 120 for row in report.shells.rows)
+    assert len(radii) == 4 * -(-120 // shell_chunk(9))
+    assert len(set(radii)) == 4
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_claim_check_sends_under_2_percent_of_rows_to_the_float64_path(monkeypatch, d):
     # Counted in this process, over the default 2,000 samples per shell: the
