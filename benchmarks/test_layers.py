@@ -5,9 +5,10 @@ Run from the root of a checkout with pytest-benchmark installed:
     python -m pytest benchmarks --benchmark-json BENCH_<label>.json
 
 Tier-1 (`testpaths = ["tests"]`) does not collect these.  Each stage of one
-shell chunk is timed on its own, at d = 3 (N = 9, 50 samples a chunk) on
-the shell at 0.99 of the claimed PPT radius, where PPT and NPT samples and
-rejects all occur:
+shell chunk is timed on its own, at d = 3 (N = 9, `shell_chunk(9)` = 202
+samples a chunk) on the shell at 0.99 of the claimed PPT radius, where PPT
+and NPT samples and rejects all occur, with the chunk's stacks staged in one
+`ShellWork` as a shell part stages them:
 
 - the uniform draw (`shell_uniforms`),
 - the single-precision screen (`shell_screen`),
@@ -15,9 +16,16 @@ rejects all occur:
 - the PT decision on the screened candidates (`_screened_pt`),
 
 and, end to end, one whole chunk (`_chunk_tally`), `claim_check(d)` for
-d = 2..6 with 2,000 samples per shell, and one restart of the 3x4 witness
-search.
+d = 2..6 with 2,000 samples per shell, `python -m pptgeo claim-check --d 4`
+in a new process (the one timing that pays for first-touch page faults of
+the working arrays, and for import and helper start-up), and one restart
+of the 3x4 witness search.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +48,7 @@ def chunk():
     dim = SPLIT.dim
     floor = harness._scan_part(dim, SPLIT, RADIUS, 1, 0, 1000)[2]
     u = states.shell_uniforms(np.random.default_rng(7), dim, states.shell_chunk(dim))
+    work = states.ShellWork(dim, len(u))
     sent = []
     shell_states = harness.shell_states
 
@@ -49,7 +58,7 @@ def chunk():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "shell_states", recorded)
-        harness._chunk_tally(u, SPLIT, RADIUS, floor)
+        harness._chunk_tally(u, SPLIT, RADIUS, floor, work)
     return u, states.shell_screen(u, dim, RADIUS), sent[0], floor
 
 
@@ -64,14 +73,19 @@ def _timed(benchmark, fn, *args, **kwargs):
     benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=100, iterations=10, warmup_rounds=1)
 
 
+def _work(rows):
+    return states.ShellWork(SPLIT.dim, rows)
+
+
 def test_stage_uniform_draw(benchmark):
     rng = np.random.default_rng(7)
-    _timed(benchmark, states.shell_uniforms, rng, SPLIT.dim, states.shell_chunk(SPLIT.dim))
+    count = states.shell_chunk(SPLIT.dim)
+    _timed(benchmark, states.shell_uniforms, rng, SPLIT.dim, count, out=_work(count).uniforms)
 
 
 def test_stage_float32_screen(benchmark, chunk):
     u, _, _, _ = chunk
-    _timed(benchmark, states.shell_screen, u, SPLIT.dim, RADIUS)
+    _timed(benchmark, states.shell_screen, u, SPLIT.dim, RADIUS, _work(len(u)))
 
 
 def test_stage_float64_path_on_open_rows(benchmark, chunk):
@@ -81,19 +95,30 @@ def test_stage_float64_path_on_open_rows(benchmark, chunk):
 
 
 def test_stage_pt_decision(benchmark, chunk):
-    _, screen, _, floor = chunk
-    _timed(benchmark, harness._screened_pt, screen.candidates, SPLIT, floor)
+    u, screen, _, floor = chunk
+    _timed(benchmark, harness._screened_pt, screen.candidates, SPLIT, RADIUS, floor, _work(len(u)))
 
 
 def test_whole_chunk(benchmark, chunk):
     u, _, _, floor = chunk
-    _timed(benchmark, harness._chunk_tally, u, SPLIT, RADIUS, floor)
+    _timed(benchmark, harness._chunk_tally, u, SPLIT, RADIUS, floor, _work(len(u)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_claim_check(benchmark, d):
     benchmark.pedantic(harness.claim_check, args=(d,), kwargs={"base_seed": 1}, rounds=3,
                        warmup_rounds=1 if d < 5 else 0)
+
+
+def test_claim_check_cli_in_a_new_process(benchmark, tmp_path):
+    # The new process scans on every usable CPU (`one_process` patches only this one).
+    src = Path(harness.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "pptgeo", "claim-check", "--d", "4", "--seed", "1",
+            "--out", str(tmp_path / "claim.json")]
+    benchmark.pedantic(subprocess.run, args=(argv,), kwargs={"env": env, "check": True}, rounds=5,
+                       warmup_rounds=1)
 
 
 def test_witness_restart(benchmark):

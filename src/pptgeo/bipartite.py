@@ -51,22 +51,23 @@ def _matrix_of(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
 
 
-def partial_transpose(rho, split: BipartiteSplit) -> np.ndarray:
+def partial_transpose(rho, split: BipartiteSplit, out: np.ndarray | None = None) -> np.ndarray:
     """Transpose the B indices: out[(i,k),(j,l)] = in[(i,l),(j,k)].
 
     Accepts a DensityMatrix, a Hermitian matrix or a (k, N, N) stack of
     them; returns a plain Hermitian ndarray of the same shape (the result
-    generally leaves the PSD cone).  Entry permutation only, so the trace
-    is preserved exactly.
+    generally leaves the PSD cone), written into `out` (a C-contiguous
+    complex array of that shape) when given.  Entry permutation only, so
+    the trace is preserved exactly.
     """
     mat = _matrix_of(rho)
     split.check_dim(mat.shape[-1])
     m, n = split.m, split.n
-    return (
-        mat.reshape(*mat.shape[:-2], m, n, m, n)
-        .swapaxes(-1, -3)
-        .reshape(mat.shape)
-    )
+    swapped = mat.reshape(*mat.shape[:-2], m, n, m, n).swapaxes(-1, -3)
+    if out is None:
+        return swapped.reshape(mat.shape)
+    np.copyto(out.reshape(swapped.shape), swapped)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,6 +40,7 @@ from .states import (
     SCREEN_MARGIN,
     DensityMatrix,
     PureState,
+    ShellWork,
     WernerParams,
     shell_chunk,
     shell_screen,
@@ -58,6 +59,13 @@ SPECTRUM_TOL = 1e-9
 CLAIM_SHELL_SCALES = (0.5, 0.9, 0.99, 1.0)
 DEFAULT_SAMPLES_PER_SHELL = 2000
 MAX_SAMPLES_PER_SHELL = 10**6  # bounds the cost of re-verifying a claim report
+# From this total dimension on, a shell is scanned as one part, in this
+# process: there OpenBLAS threads its kernels, and helpers that run their own
+# thread pools on the same CPUs slow a scan many-fold.  Measured on 2 CPUs,
+# 1,000 samples at 0.97 r_hs(N): at N = 40 two parts took 0.09-0.14 s and one
+# 0.14-0.21 s; at N = 42 two parts took 0.23-8.5 s and one 0.16-0.25 s.  (No
+# split has N = 41.)
+ONE_PART_DIM = 42
 
 
 def bisect_decreasing(f: Callable[[float], float], lo: float, hi: float,
@@ -172,8 +180,10 @@ def _merge(a: tuple, b: tuple) -> tuple:
 def _scan_part(total_dim: int, split: BipartiteSplit, radius: float, seed: int,
                first: int, stop: int) -> tuple:
     """Samples [first, stop) of one `shell_scan` shell, drawn chunk by chunk
-    from default_rng(seed) advanced past the 2 N^2 uniforms (one PCG64 step
-    each) of every earlier sample.
+    (`shell_chunk` samples each, the last one ragged) from default_rng(seed)
+    advanced past the 2 N^2 uniforms (one PCG64 step each) of every earlier
+    sample.  One `ShellWork`, sized for a chunk, holds every chunk's
+    uniforms and screen stacks, so the part allocates them once.
 
     Returns their tally (see _merge, _chunk_tally): the minimum is inf when
     no sample was accepted.
@@ -181,14 +191,16 @@ def _scan_part(total_dim: int, split: BipartiteSplit, radius: float, seed: int,
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(first * 2 * total_dim**2)
     chunk = shell_chunk(total_dim)
+    work = ShellWork(total_dim, min(chunk, stop - first))
     tally = (0, 0, np.inf)
     for start in range(first, stop, chunk):
-        u = shell_uniforms(rng, total_dim, min(chunk, stop - start))
-        tally = _merge(tally, _chunk_tally(u, split, radius, tally[2]))
+        u = shell_uniforms(rng, total_dim, min(chunk, stop - start), out=work.uniforms)
+        tally = _merge(tally, _chunk_tally(u, split, radius, tally[2], work))
     return tally
 
 
-def _chunk_tally(u: np.ndarray, split: BipartiteSplit, radius: float, floor: float) -> tuple:
+def _chunk_tally(u: np.ndarray, split: BipartiteSplit, radius: float, floor: float,
+                 work: ShellWork) -> tuple:
     """Tally (see _merge) of the shell attempts whose uniforms are u, which
     follow samples whose lowest PT floor is `floor`: the tally of eigen-solving
     every accepted state's partial transpose, bit for bit.
@@ -214,11 +226,13 @@ def _chunk_tally(u: np.ndarray, split: BipartiteSplit, radius: float, floor: flo
     The attempts left open, by the PSD screen or by either test, take the
     float64 path (`shell_states`, `_exact_tally`) in one call, so every
     verdict and the minimum's eigen-solve are those of the float64 states.
+    The screen stages its stacks in `work` (see `ShellWork`), and so does
+    the PPT test; the float64 path's stacks are small and its own.
     """
-    screen = shell_screen(u, split.dim, radius)
+    screen = shell_screen(u, split.dim, radius, work)
     if screen.rejected.all():
         return 0, 0, floor
-    ppt, unsettled = _screened_pt(screen.candidates, split, floor)
+    ppt, unsettled = _screened_pt(screen.candidates, split, radius, floor, work)
     exact = ~(screen.rejected | screen.accepted)
     exact[np.flatnonzero(screen.accepted)[unsettled]] = True
     settled = ~unsettled
@@ -227,30 +241,39 @@ def _chunk_tally(u: np.ndarray, split: BipartiteSplit, radius: float, floor: flo
     return _merge(tally, _exact_tally(states, split, floor)) if len(states) else tally
 
 
-def _screened_pt(candidates: np.ndarray, split: BipartiteSplit, floor: float) -> tuple:
+def _screened_pt(candidates: np.ndarray, split: BipartiteSplit, radius: float, floor: float,
+                 work: ShellWork) -> tuple:
     """(ppt, unsettled): bools per screened candidate, PPT by the certificate,
-    and left open by the PPT or the minimum test (see _chunk_tally)."""
-    pt = partial_transpose(candidates, split)
-    margin = SCREEN_MARGIN + cholesky_margin(split.dim)
+    and left open by the PPT or the minimum test (see _chunk_tally).  The
+    partial transposes go into `work.pt` and are factored in `work.scratch`.
+
+    The candidates lie at HS distance `radius` from I/N, and so do their
+    partial transposes, so no PT floor lies below 1/N - radius
+    sqrt((N-1)/N): the bisection for the lowest starts there."""
+    dim = split.dim
+    pt = partial_transpose(candidates, split, out=work.pt[:len(candidates)])
+    margin = SCREEN_MARGIN + cholesky_margin(dim)
+    passes = functools.partial(cholesky_passes, pt, out=work.scratch)
     # The first test runs on every row, so it takes the side that most rows
     # lie on: the NPT side once the shell holds an NPT row.
     ppt, npt = np.zeros(len(pt), dtype=bool), np.zeros(len(pt), dtype=bool)
     if floor < -PPT_TOL:
-        npt[:] = ~cholesky_passes(pt, -PPT_TOL - margin)
+        npt[:] = ~passes(-PPT_TOL - margin)
         rest = np.flatnonzero(~npt)
-        ppt[rest] = cholesky_passes(pt[rest], margin - PPT_TOL)
+        ppt[rest] = passes(margin - PPT_TOL, rest)
     else:
-        ppt[:] = cholesky_passes(pt, margin - PPT_TOL)
+        ppt[:] = passes(margin - PPT_TOL)
         rest = np.flatnonzero(~ppt)
-        npt[rest] = ~cholesky_passes(pt[rest], -PPT_TOL - margin)
+        npt[rest] = ~passes(-PPT_TOL - margin, rest)
     unsettled = ~(ppt | npt)
     rows = np.flatnonzero(~ppt) if floor < -PPT_TOL or npt.any() else np.arange(len(pt))
     if floor < np.inf:
-        rows = rows[~cholesky_passes(pt[rows], floor + margin)]
+        rows = rows[~passes(floor + margin, rows)]
     if rows.size:
         # No PT floor exceeds 1/N, the mean of a unit-trace spectrum.
-        _, top = _likely_lowest(pt, rows, min(floor, 1.0 / split.dim) + margin, margin)
-        unsettled[rows[~cholesky_passes(pt[rows], min(floor, top + margin) + margin)]] = True
+        _, top = _likely_lowest(pt, rows, min(floor, 1.0 / dim) + margin, margin, work.scratch,
+                                1.0 / dim - radius * np.sqrt((dim - 1) / dim) - margin)
+        unsettled[rows[~passes(min(floor, top + margin) + margin, rows)]] = True
     return ppt, unsettled
 
 
@@ -282,7 +305,7 @@ def _exact_tally(states: np.ndarray, split: BipartiteSplit, floor: float) -> tup
     open_rows = np.flatnonzero(~ppt) if floor < -PPT_TOL or not ppt.all() else np.arange(len(pt))
     while open_rows.size:
         if low < np.inf:
-            open_rows = open_rows[~cholesky_passes(pt[open_rows], low + margin)]
+            open_rows = open_rows[~cholesky_passes(pt, low + margin, open_rows)]
         if open_rows.size:
             # No PT floor exceeds 1/N, the mean of a unit-trace spectrum.
             row, _ = _likely_lowest(pt, open_rows, min(low, 1.0 / split.dim) + margin, margin)
@@ -291,21 +314,41 @@ def _exact_tally(states: np.ndarray, split: BipartiteSplit, floor: float) -> tup
     return len(pt), int(np.count_nonzero(ppt)), low
 
 
-def _likely_lowest(pt: np.ndarray, rows: np.ndarray, top: float, margin: float) -> tuple[int, float]:
+def _likely_lowest(pt: np.ndarray, rows: np.ndarray, top: float, margin: float,
+                   scratch: np.ndarray | None = None, bottom: float = -1.0) -> tuple[int, float]:
     """The row, among `rows` of the PT stack, to eigen-solve next, and a shift
-    at which it fails to factor: bisect a shift between -1 and `top` (at
-    which every row fails), keeping the rows that fail to factor there
-    whenever any does, until one row is left or the bracket is 4 margins
-    wide.  No PT floor lies below -1 (the HS norm of a PT is at most 1)."""
-    bottom = -1.0
+    at which it fails to factor: bisect a shift between `bottom`, below every
+    PT floor, and `top` (at which every row fails), keeping the rows that
+    fail to factor there whenever any does, until one row is left or the
+    bracket is 4 margins wide.  No PT floor lies below -1 (the HS norm of a
+    PT is at most 1).  The rows are factored in `scratch` (see
+    `cholesky_passes`).  A `bottom` too high costs steps, not correctness:
+    the row returned fails at the shift returned.
+
+    Of more than 64 rows, a sample of about 32 is bisected first, and only
+    the rows that fail at the shift it ends at are bisected on: on a first
+    chunk at N = 4 that factors each row 1.2 times rather than 2.6.
+    """
+    if rows.size > 64:
+        _, top = _likely_lowest(pt, rows[::rows.size // 32], top, margin, scratch, bottom)
+        rows = rows[~cholesky_passes(pt, top, rows, scratch)]
     while rows.size > 1 and top - bottom > 4 * margin:
         shift = (bottom + top) / 2
-        failing = rows[~cholesky_passes(pt[rows], shift)]
+        failing = rows[~cholesky_passes(pt, shift, rows, scratch)]
         if failing.size:
             rows, top = failing, shift
         else:
             bottom = shift
     return int(rows[0]), top
+
+
+def _check_seed(seed) -> None:
+    """Raise ValueError naming `seed` unless it is an integer >= 0 (a bool
+    is not)."""
+    if not serialize.is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _usable_cpus() -> int:
@@ -318,11 +361,14 @@ def shell_scan(total_dim: int, split: BipartiteSplit, radii, samples_per_shell: 
     """Sample each shell and record acceptance and PPT statistics.
 
     Shell i draws from default_rng(base_seed + i) alone.  Each shell is cut
-    at chunk boundaries into k = min(usable CPUs, chunks) contiguous parts,
-    part j of every shell runs in helper j (`pool_map`; part 0 here), and
-    the parts merge in sample order, so the report is the same byte for byte
-    for any k.  Unreachable shells (every attempt rejected) surface as
-    accepted = 0 rather than an error.
+    into k = min(usable CPUs, chunks) contiguous parts of equal sample count,
+    part j taking samples [j S // k, (j + 1) S // k) of S, so parts differ
+    by at most one sample however the chunks fall; from ONE_PART_DIM on,
+    k = 1.  Part j of every shell runs in helper j (`pool_map`; part 0
+    here), and the parts merge in sample order, so the report is the same
+    byte for byte for any k.  Unreachable shells (every attempt rejected)
+    surface as accepted = 0 rather than an error.  `base_seed` must be an
+    integer >= 0.
     """
     split.check_dim(total_dim)
     radii = [float(r) for r in radii]
@@ -337,13 +383,12 @@ def shell_scan(total_dim: int, split: BipartiteSplit, radii, samples_per_shell: 
         raise ValueError(f"samples_per_shell must be an integer, got {samples_per_shell!r}")
     if samples_per_shell < 1:
         raise ValueError("samples_per_shell must be >= 1")
-    if base_seed < 0:
-        raise ValueError(f"seed must be >= 0, got {base_seed}")
+    _check_seed(base_seed)
 
-    samples, chunk = int(samples_per_shell), shell_chunk(total_dim)
-    chunks = -(-samples // chunk)
-    k = min(_usable_cpus(), chunks)
-    cuts = [min(j * chunks // k * chunk, samples) for j in range(k + 1)]
+    samples = int(samples_per_shell)
+    chunks = -(-samples // shell_chunk(total_dim))
+    k = 1 if total_dim >= ONE_PART_DIM else min(_usable_cpus(), chunks)
+    cuts = [j * samples // k for j in range(k + 1)]
     parts = pool_map(_scan_part, [[(total_dim, split, radius, base_seed + index, first, stop)
                                    for index, radius in enumerate(radii)]
                                   for first, stop in zip(cuts, cuts[1:])])
@@ -450,6 +495,7 @@ def claim_check(qudit_dim: int, samples: int = DEFAULT_SAMPLES_PER_SHELL,
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if not 1 <= samples <= MAX_SAMPLES_PER_SHELL:
         raise ValueError(f"samples must lie in 1..{MAX_SAMPLES_PER_SHELL}, got {samples}")
+    _check_seed(base_seed)
     split = BipartiteSplit(d, d)
     table = bounds_table(d)
     sweep = werner_sweep(d)

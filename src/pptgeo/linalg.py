@@ -87,21 +87,33 @@ def cholesky_margin(dim: int) -> float:
     return 100.0 * dim**2.5 * np.finfo(np.float64).eps / 2
 
 
-def cholesky_passes(stack: np.ndarray, shift: float | np.ndarray) -> np.ndarray:
+def cholesky_passes(stack: np.ndarray, shift: float | np.ndarray, rows: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Whether A - shift I passes a Cholesky factorization, for each matrix A
-    of a (k, N, N) Hermitian stack: a bool per matrix.  `shift` is a scalar
-    or one value per matrix (the shell screen's threshold differs by row).
+    of a (k, N, N) Hermitian stack, or of its matrices at the indices `rows`:
+    a bool per matrix tested.  `shift` is a scalar or one value per matrix
+    tested (the shell screen's threshold differs by row).  The matrices are
+    copied into `out` (a complex stack at least as long; by default a fresh
+    one) and factored there.
 
     One call of numpy's stacked kernel (`np.linalg.cholesky` calls the
     same one), which leaves NaN in the factor of a matrix that fails where
     `np.linalg.cholesky` would raise for the whole stack.  `cholesky_margin`
     says what a pass or a failure proves about the smallest eigenvalue.
     """
-    if not len(stack):
+    count = len(stack) if rows is None else len(rows)
+    if not count:
         return np.zeros(0, dtype=bool)
-    shifted = np.array(stack, dtype=np.complex128)
+    if out is None:
+        out = np.empty((count, *stack.shape[1:]), dtype=np.complex128)
+    shifted = out[:count]
+    if rows is None:
+        np.copyto(shifted, stack)
+    else:
+        # mode="clip" writes into `out` directly; "raise" would stage a copy.
+        np.take(stack, rows, axis=0, out=shifted, mode="clip")
     dim = shifted.shape[-1]
-    shifted.reshape(len(shifted), dim * dim)[:, :: dim + 1] -= np.reshape(shift, (-1, 1))
+    shifted.reshape(count, dim * dim)[:, :: dim + 1] -= np.reshape(shift, (-1, 1))
     with np.errstate(invalid="ignore"):
         factor = _umath_linalg.cholesky_lo(shifted, signature="D->D", out=shifted)
     return ~np.isnan(factor[:, -1, -1].real)
@@ -115,7 +127,7 @@ def min_eig_at_least(stack: np.ndarray, threshold: float) -> np.ndarray:
     margin = cholesky_margin(stack.shape[-1])
     above = cholesky_passes(stack, threshold + margin)
     rest = np.flatnonzero(~above)
-    unsure = rest[cholesky_passes(stack[rest], threshold - margin)]
+    unsure = rest[cholesky_passes(stack, threshold - margin, rest)]
     if unsure.size:
         above[unsure] = np.linalg.eigvalsh(stack[unsure])[:, 0] >= threshold
     return above

@@ -41,25 +41,29 @@ SHELL_PSD_TOL = 1e-12
 # transpose by no more, so each settled verdict holds by a wide margin.
 SCREEN_MARGIN = 1e-4
 # Shell samples are stacked so that one N x N complex stack takes about this
-# many bytes: 256 samples at N = 4, 16 at N = 16.  It bounds peak memory.
-SHELL_CHUNK_BYTES = 64 * 1024
+# many bytes: 1,024 samples at N = 4, 202 at N = 9, 64 at N = 16.  A shell
+# part screens every chunk in four arrays of this size (`ShellWork`),
+# allocated once, so it bounds peak memory.  Each chunk makes a fixed number
+# of stacked numpy calls whatever its rows, so larger chunks make fewer:
+# 64 KiB chunks made 1,116 Cholesky calls per claim check at d = 3.
+SHELL_CHUNK_BYTES = 256 * 1024
 
 
 class NotNormalized(ValueError):
     """Pure-state amplitudes are not unit norm."""
 
 
-def _box_muller(u: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+def _box_muller(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cosine and sine normals from uniforms of shape (..., 2, pairs).
 
     Row 0 of the pair axis feeds the radius and row 1 the angle, so one
     PCG64 draw of that shape is the stream order of drawing all u1, then all
-    u2, one set of pairs after another.  With dtype float32 the radius is
-    the float64 one rounded, and the angle, cosine and sine are float32.
+    u2, one set of pairs after another.  (`_float32_gram` runs the same
+    transform in single precision.)
     """
     # 1 - random() lies in (0, 1], keeping the log finite.
-    radius = np.sqrt(-2.0 * np.log(1.0 - u[..., 0, :])).astype(dtype, copy=False)
-    angle = u[..., 1, :].astype(dtype, copy=False) * dtype(2.0 * np.pi)
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[..., 0, :]))
+    angle = u[..., 1, :] * (2.0 * np.pi)
     return radius * np.cos(angle), radius * np.sin(angle)
 
 
@@ -179,12 +183,39 @@ def shell_chunk(dim: int) -> int:
     return max(1, SHELL_CHUNK_BYTES // (16 * dim * dim))
 
 
-def shell_uniforms(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+def shell_uniforms(rng: np.random.Generator, dim: int, count: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """The uniforms of `count` shell attempts, shape (count, 2, N^2): one
-    PCG64 draw, in the stream order of drawing the attempts one at a time."""
+    PCG64 draw, in the stream order of drawing the attempts one at a time.
+    With `out` (a (k, 2, N^2) float64 array, k >= count) they are drawn
+    into its first `count` rows, which are returned."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    return rng.random((count, 2, dim * dim))
+    if out is None:
+        return rng.random((count, 2, dim * dim))
+    return rng.random(out=out[:count])
+
+
+class ShellWork:
+    """Working arrays for screening up to `count` shell attempts at a time
+    at dimension `dim`, allocated once per shell part and reused for every
+    chunk, so that no chunk allocates (and page-faults) stacks of its own.
+
+    - `uniforms` (count, 2, N^2): the attempts' uniforms.
+    - `candidates` (count, N, N) complex: the normals G, then the screened
+      candidates.
+    - `pt` (count, N, N) complex: the float64 Box-Muller radius, then
+      rho0' = G G† / tr, then the candidates' partial transposes.
+    - `scratch` (count, N, N) complex: the float32 Box-Muller stages, then
+      the conjugate of G, then where `cholesky_passes` factors.
+
+    Each stage of a chunk writes the rows it uses before it reads them, so
+    nothing carries over from one chunk to the next.
+    """
+
+    def __init__(self, dim: int, count: int):
+        self.uniforms = np.empty((count, 2, dim * dim))
+        self.candidates, self.pt, self.scratch = np.empty((3, count, dim, dim), dtype=np.complex128)
 
 
 def _stacked_traces(w: np.ndarray) -> np.ndarray:
@@ -295,49 +326,72 @@ class ShellScreen(NamedTuple):
     candidates: np.ndarray  # the screened candidates of the accepted attempts
 
 
-def _float32_gram(u: np.ndarray, dim: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+def _float32_gram(u: np.ndarray, dim: int, radius: float, work: ShellWork) -> tuple[np.ndarray, np.ndarray]:
     """rho0' = w / tr w, with w = G G† of the single-precision normals of
-    shell uniforms (k, 2, N^2), and the rescale factors s' = radius / ||Delta'||."""
-    count = len(u)
-    g = np.empty((count, dim * dim), dtype=np.complex128)
-    g.real, g.imag = _box_muller(u, np.float32)
-    g = g.reshape(count, dim, dim)
-    w = g @ g.conj().transpose(0, 2, 1)
+    shell uniforms (k, 2, N^2), and the rescale factors s' = radius / ||Delta'||.
+
+    The normals come from the Box-Muller transform in single precision:
+    the float64 radius rounded, and a float32 angle, cosine and sine.  The
+    transform is staged in the memory of the stacks that the Gram matrix
+    and its conjugate overwrite next, and rho0' is written into `work.pt`.
+    """
+    count, n2 = len(u), dim * dim
+    g = work.candidates[:count]
+    r64 = work.pt.reshape(-1).view(np.float64)[:count * n2].reshape(count, n2)
+    r32, angle, trig = work.scratch.reshape(-1).view(np.float32)[:3 * count * n2].reshape(3, count, n2)
+    # 1 - random() lies in (0, 1], keeping the log finite.
+    np.subtract(1.0, u[:, 0], out=r64)
+    np.log(r64, out=r64)
+    np.multiply(-2.0, r64, out=r64)
+    np.sqrt(r64, out=r64)
+    np.copyto(r32, r64, casting="same_kind")
+    np.copyto(angle, u[:, 1], casting="same_kind")
+    angle *= np.float32(2.0 * np.pi)
+    flat_g = g.reshape(count, n2)
+    for part, trig_fn in ((flat_g.real, np.cos), (flat_g.imag, np.sin)):
+        trig_fn(angle, out=trig)
+        trig *= r32
+        part[...] = trig
+    conj = np.conjugate(g, out=work.scratch[:count])
+    w = np.matmul(g, conj.transpose(0, 2, 1), out=work.pt[:count])
     trace = np.einsum("kii->k", w).real
-    flat = w.reshape(count, dim * dim).view(np.float64)
+    flat = w.reshape(count, n2).view(np.float64)
     scale = radius / np.sqrt(np.einsum("ij,ij->i", flat, flat) / (trace * trace) - 1.0 / dim)
     _scale_rows(w, 1.0 / trace)
     return w, scale
 
 
-def shell_screen(u: np.ndarray, dim: int, radius: float) -> ShellScreen:
+def shell_screen(u: np.ndarray, dim: int, radius: float, work: ShellWork | None = None) -> ShellScreen:
     """The PSD verdicts that the single-precision screen settles for shell
     uniforms (k, 2, N^2), and the screened candidates c' = I/N + s' Delta'
     of the attempts it accepts, each checked for unit trace (see
-    shell_batch)."""
+    shell_batch).  Every stack is staged in `work` (a fresh `ShellWork` by
+    default), and the candidates are a view of `work.candidates`."""
     count = len(u)
-    rho0, scale = _float32_gram(u, dim, radius)
+    if work is None:
+        work = ShellWork(dim, count)
+    rho0, scale = _float32_gram(u, dim, radius, work)
     rejected, accepted = np.zeros(count, dtype=bool), np.ones(count, dtype=bool)
     margin = cholesky_margin(dim)
     if not _inside_floor(dim, radius):
         rows = np.flatnonzero((1.0 - scale) / dim < SCREEN_MARGIN + margin)
-        rho0_rows, scale_rows = (rho0, scale) if len(rows) == count else (rho0[rows], scale[rows])
+        scale_rows = scale[rows]
 
         def threshold(level):
             # lambda_min(c') < level exactly when lambda_min(rho0') lies below
             # this; no eigenvalue of rho0' lies below -1.
             return np.maximum(1.0 / dim - (1.0 / dim - level) / scale_rows, -1.0)
 
-        rejected[rows] = ~cholesky_passes(rho0_rows, threshold(-SHELL_PSD_TOL - SCREEN_MARGIN) - margin)
+        rejected[rows] = ~cholesky_passes(rho0, threshold(-SHELL_PSD_TOL - SCREEN_MARGIN) - margin,
+                                          rows, work.scratch)
         rest = np.flatnonzero(~rejected[rows])
         accepted[rows] = False
-        accepted[rows[rest]] = cholesky_passes(rho0_rows[rest],
-                                               threshold(SCREEN_MARGIN - SHELL_PSD_TOL)[rest] + margin)
-    if not accepted.any():
-        return ShellScreen(rejected, accepted, np.empty((0, dim, dim), dtype=np.complex128))
-    candidates = rho0[accepted]
+        accepted[rows[rest]] = cholesky_passes(rho0, threshold(SCREEN_MARGIN - SHELL_PSD_TOL)[rest] + margin,
+                                               rows[rest], work.scratch)
+    kept = np.flatnonzero(accepted)
+    candidates = np.take(rho0, kept, axis=0, out=work.candidates[:len(kept)], mode="clip")
     _shift_diagonal(candidates, -1.0 / dim)
-    candidates = _to_shell(candidates, scale[accepted], dim)
+    candidates = _to_shell(candidates, scale[kept], dim)
     _check_traces(candidates)
     return ShellScreen(rejected, accepted, candidates)
 

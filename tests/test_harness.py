@@ -265,11 +265,11 @@ def test_split_scan_matches_in_process_scan(monkeypatch, fresh_helpers, factors)
     assert len(workers._POOL.helpers) == 2
 
 
-# N = 9 stacks 50 samples a chunk, N = 4 stacks 256.  The radii run past
-# r_hs(N), where the screen drops most rows, and at N = 4 to a shell that
-# no sample reaches.
-PARITY_CASES = [((3, 3), (0.05, 0.15, 0.3, 0.45, 0.8), 130),
-                ((2, 2), (0.1, 0.3, 0.5, 0.7, 0.86), 300),
+# N = 9 stacks 202 samples a chunk and N = 4 stacks 1,024, so 450 and 2,100
+# samples are three chunks each.  The radii run past r_hs(N), where the
+# screen drops most rows, and at N = 4 to a shell that no sample reaches.
+PARITY_CASES = [((3, 3), (0.05, 0.15, 0.3, 0.45, 0.8), 450),
+                ((2, 2), (0.1, 0.3, 0.5, 0.7, 0.86), 2100),
                 ((2, 3), (0.1, 0.25, 0.4, 0.55, 0.7), 1)]
 
 
@@ -287,8 +287,49 @@ def test_forked_scan_matches_in_process_scan(monkeypatch, fresh_helpers, forks, 
         for cpus in (2, 3):
             monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
             assert _report_fields(shell_scan(*args, **kwargs)) == expected
-    # Helpers persist: one per part beyond the first, forked once.
+    # Helpers persist: one per part beyond the first, forked once.  A shell
+    # has min(CPUs, chunks) parts: two helpers for 450 and 2,100 samples.
     assert forks[0] == min(3, chunks) - 1
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_parts_differ_by_at_most_one_sample(monkeypatch, fresh_helpers, cpus):
+    # 605 samples are three chunks at N = 9 (202, 202 and 201): an odd count,
+    # which whole chunks would deal out 202 / 403 to two CPUs.
+    samples = 3 * shell_chunk(9) - 1
+    kwargs = dict(samples_per_shell=samples, base_seed=4)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    expected = _report_fields(shell_scan(*ERROR_SCAN, **kwargs))
+    ranges = []
+    pool_map = harness.pool_map
+
+    def recorded(fn, batches):
+        ranges.extend({job[4:] for job in batch} for batch in batches)
+        return pool_map(fn, batches)
+
+    monkeypatch.setattr(harness, "pool_map", recorded)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    assert _report_fields(shell_scan(*ERROR_SCAN, **kwargs)) == expected
+    assert all(len(shells) == 1 for shells in ranges)  # every shell is cut alike
+    cuts = [first for [(first, _)] in ranges] + [samples]
+    assert [stop for [(_, stop)] in ranges] == cuts[1:] and cuts[0] == 0
+    sizes = [stop - first for first, stop in zip(cuts, cuts[1:])]
+    assert len(sizes) == cpus and max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("factors, samples, helpers", [((5, 8), 13, 1), ((6, 7), 13, 0)])
+def test_shells_from_the_one_part_dimension_fork_no_helper(monkeypatch, fresh_helpers, forks,
+                                                            factors, samples, helpers):
+    # 13 samples are two chunks at N = 40 and at N = 42.  From ONE_PART_DIM
+    # on, a shell is scanned as one part in this process.
+    split = BipartiteSplit(*factors)
+    assert (split.dim >= harness.ONE_PART_DIM) == (helpers == 0)
+    kwargs = dict(samples_per_shell=samples, base_seed=2)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    expected = _report_fields(shell_scan(split.dim, split, [0.1], **kwargs))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    assert _report_fields(shell_scan(split.dim, split, [0.1], **kwargs)) == expected
+    assert forks[0] == helpers and len(workers._POOL.helpers) == helpers
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -302,11 +343,12 @@ def test_tied_shell_minima_keep_the_earlier_shell(monkeypatch, fresh_helpers, cp
 
     monkeypatch.setattr(harness, "_scan_part", tied)
     workers._POOL.close()  # helpers run the code as loaded when forked
-    # 600 samples are three chunks at N = 4: parts start at 0, 256 and 512.
-    report = shell_scan(4, BipartiteSplit(2, 2), [0.1, 0.2, 0.3], samples_per_shell=600,
+    # 3,000 samples are three chunks at N = 4: with 3 CPUs parts start at 0,
+    # 1,000 and 2,000.
+    report = shell_scan(4, BipartiteSplit(2, 2), [0.1, 0.2, 0.3], samples_per_shell=3000,
                         base_seed=0)
     assert [row.min_pt_eig for row in report.rows] == [-0.05 if cpus == 1 else -0.1] * 3
-    assert [row.accepted for row in report.rows] == [600] * 3
+    assert [row.accepted for row in report.rows] == [3000] * 3
     assert len(workers._POOL.helpers) == cpus - 1
 
 
@@ -328,7 +370,7 @@ def _fail_in(monkeypatch, where, failing_seed, make=None):
     workers._POOL.close()  # helpers run the code as loaded when forked
 
 
-# 150 samples are three chunks at N = 9, so with 3 CPUs each has a part of every shell.
+# 600 samples are three chunks at N = 9, so with 3 CPUs each has a part of every shell.
 ERROR_SCAN = (9, BipartiteSplit(3, 3), [0.1, 0.2, 0.3, 0.4, 0.5])
 
 
@@ -341,13 +383,13 @@ def test_worker_error_is_raised_and_every_child_reaped(monkeypatch, fresh_helper
     _fail_in(monkeypatch, where, failing_seed)
     radii = ERROR_SCAN[2]
     with pytest.raises(np.linalg.LinAlgError) as info:
-        shell_scan(*ERROR_SCAN, samples_per_shell=150)
+        shell_scan(*ERROR_SCAN, samples_per_shell=600)
     assert str(info.value) == (f"no convergence on shell r={radii[failing_seed]} "
                                f"(seed {failing_seed})")
     assert forks[0] == cpus - 1
     # No reply of the failed scan is left to be read: the next scan (seeds
     # 10-14, none failing) matches the same scan in this process alone.
-    kwargs = dict(samples_per_shell=150, base_seed=10)
+    kwargs = dict(samples_per_shell=600, base_seed=10)
     got = _report_fields(shell_scan(*ERROR_SCAN, **kwargs))
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     assert got == _report_fields(shell_scan(*ERROR_SCAN, **kwargs))
@@ -371,11 +413,11 @@ def test_errors_that_cannot_cross_the_pipe_name_their_type(monkeypatch, capsys, 
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     _fail_in(monkeypatch, "child", 0, make)
     with pytest.raises(ChildProcessError, match=message):
-        shell_scan(*ERROR_SCAN, samples_per_shell=150)
+        shell_scan(*ERROR_SCAN, samples_per_shell=600)
     assert cli.main(["shell-scan", "--N", "9", "--split", "3x3", "--radii", "0.1",
-                     "--samples", "150"]) == 2
+                     "--samples", "600"]) == 2
     assert re.match(message, capsys.readouterr().err.removeprefix("error: "))
-    kwargs = dict(samples_per_shell=150, base_seed=1)
+    kwargs = dict(samples_per_shell=600, base_seed=1)
     got = _report_fields(shell_scan(*ERROR_SCAN, **kwargs))
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     assert got == _report_fields(shell_scan(*ERROR_SCAN, **kwargs))
@@ -383,15 +425,15 @@ def test_errors_that_cannot_cross_the_pipe_name_their_type(monkeypatch, capsys, 
 
 def test_killed_helper_raises_then_respawns(monkeypatch, fresh_helpers):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    expected = _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150))
+    expected = _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=600))
     [(pid, _, _)] = workers._POOL.helpers
     os.kill(pid, signal.SIGKILL)
     with pytest.raises(ChildProcessError, match=f"helper process {pid} ended without a result"):
-        shell_scan(*ERROR_SCAN, samples_per_shell=150)
+        shell_scan(*ERROR_SCAN, samples_per_shell=600)
     assert workers._POOL.helpers == []
     with pytest.raises(ChildProcessError):
         os.waitpid(pid, os.WNOHANG)  # reaped
-    assert _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150)) == expected
+    assert _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=600)) == expected
     [(respawned, _, _)] = workers._POOL.helpers
     assert respawned != pid
 
@@ -400,7 +442,7 @@ def test_threads_scanning_at_once_get_correct_bytes(monkeypatch, fresh_helpers):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     seeds = (1, 2, 3)  # more threads than helpers and callers can take at once
     # Forks the helper while this is the only thread.
-    expected = {seed: _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150,
+    expected = {seed: _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=600,
                                                 base_seed=seed)) for seed in seeds}
     barrier = threading.Barrier(len(seeds))
     got = {seed: [] for seed in seeds}
@@ -408,7 +450,7 @@ def test_threads_scanning_at_once_get_correct_bytes(monkeypatch, fresh_helpers):
     def scan(seed):
         barrier.wait()
         for _ in range(4):
-            got[seed].append(_report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150,
+            got[seed].append(_report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=600,
                                                        base_seed=seed)))
 
     threads = [threading.Thread(target=scan, args=(seed,)) for seed in seeds]
@@ -432,19 +474,19 @@ def test_scan_stays_in_process_while_other_threads_run(monkeypatch, fresh_helper
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        got = _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150))
+        got = _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=600))
     finally:
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert forks[0] == 0 and workers._POOL.helpers == []
-    assert _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150)) == got
+    assert _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=600)) == got
     assert forks[0] == 1
 
 
 def test_forked_child_never_dispatches_to_parent_helpers(monkeypatch, fresh_helpers):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    expected = _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150))
+    expected = _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=600))
     pool = workers._POOL
     [(helper, jobs_out, results_in)] = pool.helpers
     pid = os.fork()
@@ -452,7 +494,7 @@ def test_forked_child_never_dispatches_to_parent_helpers(monkeypatch, fresh_help
         ok = False
         try:
             ok = (jobs_out.closed and results_in.closed
-                  and _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150)) == expected
+                  and _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=600)) == expected
                   and workers._POOL is not pool
                   and [h[0] for h in workers._POOL.helpers] not in ([], [helper]))
             workers._POOL.close()
@@ -460,7 +502,7 @@ def test_forked_child_never_dispatches_to_parent_helpers(monkeypatch, fresh_help
             os._exit(0 if ok else 1)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
     # The parent's helper is still in step with it.
-    assert _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=150)) == expected
+    assert _report_fields(shell_scan(*ERROR_SCAN, samples_per_shell=600)) == expected
     assert workers._POOL is pool and pool.helpers[0][0] == helper
 
 
@@ -470,7 +512,7 @@ from pptgeo import harness, workers
 from pptgeo.bipartite import BipartiteSplit
 def scan():
     harness._usable_cpus = lambda: 3
-    harness.shell_scan(9, BipartiteSplit(3, 3), [0.2], samples_per_shell=150)
+    harness.shell_scan(9, BipartiteSplit(3, 3), [0.2], samples_per_shell=600)
     return [h[0] for h in workers._POOL.helpers]
 first = scan()
 for name in [n for n in sys.modules if n == "pptgeo" or n.startswith("pptgeo.")]:
@@ -568,7 +610,39 @@ def test_certified_tally_equals_eigen_solving_every_row(factors, fraction, first
     assert _tally_bytes(harness._scan_part(*job)) == _tally_bytes(_reference_scan_part(*job))
 
 
-# Splits of N = 4, 6, 8, 9, 16 and 25 with about three chunks of samples each.
+# Parts of three chunks, whose chunks share one ShellWork: at 0.9 r_hs(9) a
+# ragged last chunk (57 of 202 rows) after chunks that accept rows, and at
+# 1.1 r_hs(9) and 1.05 r_hs(16) a last chunk of 3 rows whose screen accepts
+# none after chunks that accept some.  No chunk may read rows that an
+# earlier one left in the buffers.
+REUSE_CASES = [((3, 3), 0.9, 3, 2 * 202 + 57, True), ((3, 3), 1.1, 0, 2 * 202 + 3, False),
+               ((4, 4), 1.05, 0, 2 * 64 + 3, False)]
+
+
+@pytest.mark.parametrize("factors, fraction, seed, samples, last_accepts", REUSE_CASES)
+def test_reused_chunk_buffers_carry_nothing_over(monkeypatch, factors, fraction, seed, samples,
+                                                 last_accepts):
+    split = BipartiteSplit(*factors)
+    dim = split.dim
+    radius = fraction * math.sqrt(2 * dim / (dim * dim + 1) - 1 / dim)
+    chunks = []
+    shell_screen = harness.shell_screen
+
+    def recorded(u, dim, radius, work):
+        screen = shell_screen(u, dim, radius, work)
+        chunks.append((len(u), int(np.count_nonzero(screen.accepted))))
+        return screen
+
+    monkeypatch.setattr(harness, "shell_screen", recorded)
+    job = (dim, split, radius, seed, 0, samples)
+    assert _tally_bytes(harness._scan_part(*job)) == _tally_bytes(_reference_scan_part(*job))
+    sizes, accepted = zip(*chunks)
+    assert sizes == (shell_chunk(dim),) * 2 + (samples - 2 * shell_chunk(dim),)
+    assert min(accepted[:2]) > 0 and (accepted[2] > 0) == last_accepts
+
+
+# Splits of N = 4, 6, 8, 9, 16 and 25 with one or two chunks of samples each
+# (REUSE_CASES and the property test above span more).
 SCREEN_PARITY_CASES = [((2, 2), 600), ((2, 3), 300), ((2, 4), 200), ((3, 3), 160), ((4, 4), 60),
                        ((5, 5), 40)]
 
@@ -799,6 +873,19 @@ def test_sample_counts_must_be_integers(samples):
     report = claim_check(2, samples=np.int64(3))
     assert [type(row.samples) for row in report.shells.rows] == [int] * 4
     assert report.shells.samples_per_shell == 3 and type(report.shells.samples_per_shell) is int
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "1", None])
+def test_seeds_must_be_integers(monkeypatch, seed):
+    # Refused before any work: no shell is scanned, here or in a helper.
+    def no_scan(fn, batches):
+        raise AssertionError("a shell was scanned")
+
+    monkeypatch.setattr(harness, "pool_map", no_scan)
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        claim_check(2, samples=20, base_seed=seed)
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        shell_scan(4, BipartiteSplit(2, 2), [0.1], samples_per_shell=20, base_seed=seed)
 
 
 def test_claim_report_roundtrip_and_reverification(tmp_path):

@@ -232,9 +232,9 @@ SHELL_CASES = {4: ((2, 2), (0.9, 1.5, 2.0, 2.85)), 6: ((2, 3), (0.9, 1.7, 2.2, 4
 
 
 def test_shell_chunk_budget():
-    assert shell_chunk(4) == 256
-    assert shell_chunk(16) == 16
-    assert shell_chunk(64) == 1
+    assert shell_chunk(4) == 1024
+    assert shell_chunk(16) == 64
+    assert shell_chunk(64) == 4
 
 
 @pytest.mark.parametrize("dim", sorted(SHELL_CASES))
@@ -391,11 +391,36 @@ def test_screened_candidates_lie_within_a_hundredth_of_the_margin():
         for radius in np.linspace(0.5 / np.sqrt(dim * (dim - 1)), 0.99 * outer, 4):
             u = np.random.default_rng([dim, int(radius * 1e6)]).random((40, 2, dim * dim))
             exact, _ = states._float64_candidates(u, dim, radius)
-            rho0, scale = states._float32_gram(u, dim, radius)
+            rho0, scale = states._float32_gram(u, dim, radius, states.ShellWork(dim, len(u)))
             states._shift_diagonal(rho0, -1.0 / dim)
             screened = states._to_shell(rho0, scale, dim)
             worst = max(worst, float(np.max(np.linalg.norm(screened - exact, axis=(1, 2)))))
     assert worst <= states.SCREEN_MARGIN / 100, worst
+
+
+def test_staged_float32_gram_equals_one_built_from_fresh_arrays():
+    # _float32_gram stages the float32 Box-Muller transform (the float64
+    # radius rounded, float32 angle, cosine and sine) in the memory of reused
+    # stacks; its rho0' and s' are those built from fresh arrays bit for
+    # bit, whatever an earlier chunk left in the stacks (NaN here).
+    for dim in (4, 9, 16):
+        count, radius = 50, 0.3
+        u = np.random.default_rng(dim).random((count, 2, dim * dim))
+        work = states.ShellWork(dim, count + 7)
+        for stack in (work.candidates, work.pt, work.scratch):
+            stack.fill(np.nan)
+        rho0, scale = states._float32_gram(u, dim, radius, work)
+        length = np.sqrt(-2.0 * np.log(1.0 - u[:, 0])).astype(np.float32)
+        angle = u[:, 1].astype(np.float32) * np.float32(2.0 * np.pi)
+        g = np.empty((count, dim * dim), dtype=np.complex128)
+        g.real, g.imag = length * np.cos(angle), length * np.sin(angle)
+        g = g.reshape(count, dim, dim)
+        w = g @ g.conj().transpose(0, 2, 1)
+        trace = np.einsum("kii->k", w).real
+        flat = w.reshape(count, -1).view(np.float64)
+        want = radius / np.sqrt(np.einsum("ij,ij->i", flat, flat) / (trace * trace) - 1.0 / dim)
+        assert rho0.tobytes() == (w / trace[:, None, None]).tobytes(), dim
+        assert scale.tobytes() == want.tobytes(), dim
 
 
 def test_claim_check_screens_every_shell_chunk(monkeypatch):
@@ -405,9 +430,9 @@ def test_claim_check_screens_every_shell_chunk(monkeypatch):
     radii = []
     shell_screen = harness.shell_screen
 
-    def counted(u, dim, radius):
+    def counted(u, dim, radius, work):
         radii.append(radius)
-        return shell_screen(u, dim, radius)
+        return shell_screen(u, dim, radius, work)
 
     monkeypatch.setattr(harness, "shell_screen", counted)
     report = claim_check(3, samples=120)
