@@ -10,7 +10,7 @@ samples a chunk) on the shell at 0.99 of the claimed PPT radius, where PPT
 and NPT samples and rejects all occur, with the chunk's stacks staged in one
 `ShellWork` as a shell part stages them:
 
-- the uniform draw (`shell_uniforms`),
+- the uniform draw (`ShellWork.draw`),
 - the single-precision screen (`shell_screen`),
 - the float64 path on the rows the screen leaves open (`shell_states`),
 - the PT decision on the screened candidates (`_screened_pt`),
@@ -40,6 +40,10 @@ SPLIT = BipartiteSplit(D, D)
 RADIUS = 0.99 * ppt_radius(D * D)
 
 
+def _work(rows):
+    return states.ShellWork(SPLIT.dim, rows)
+
+
 @pytest.fixture(scope="module")
 def chunk():
     """One chunk's uniforms, its screen, the rows it sends to the float64
@@ -47,8 +51,8 @@ def chunk():
     floor a later chunk starts from)."""
     dim = SPLIT.dim
     floor = harness._scan_part(dim, SPLIT, RADIUS, 1, 0, 1000)[2]
-    u = states.shell_uniforms(np.random.default_rng(7), dim, states.shell_chunk(dim))
-    work = states.ShellWork(dim, len(u))
+    count = states.shell_chunk(dim)
+    u = states.shell_uniforms(np.random.default_rng(7), dim, count)
     sent = []
     shell_states = harness.shell_states
 
@@ -58,7 +62,7 @@ def chunk():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "shell_states", recorded)
-        harness._chunk_tally(u, SPLIT, RADIUS, floor, work)
+        harness._chunk_tally(np.random.default_rng(7), count, SPLIT, RADIUS, floor, _work(count))
     return u, states.shell_screen(u, dim, RADIUS), sent[0], floor
 
 
@@ -73,14 +77,9 @@ def _timed(benchmark, fn, *args, **kwargs):
     benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=100, iterations=10, warmup_rounds=1)
 
 
-def _work(rows):
-    return states.ShellWork(SPLIT.dim, rows)
-
-
 def test_stage_uniform_draw(benchmark):
-    rng = np.random.default_rng(7)
     count = states.shell_chunk(SPLIT.dim)
-    _timed(benchmark, states.shell_uniforms, rng, SPLIT.dim, count, out=_work(count).uniforms)
+    _timed(benchmark, _work(count).draw, np.random.default_rng(7), count)
 
 
 def test_stage_float32_screen(benchmark, chunk):
@@ -101,7 +100,14 @@ def test_stage_pt_decision(benchmark, chunk):
 
 def test_whole_chunk(benchmark, chunk):
     u, _, _, floor = chunk
-    _timed(benchmark, harness._chunk_tally, u, SPLIT, RADIUS, floor, _work(len(u)))
+    rng, work = np.random.default_rng(7), _work(len(u))
+    start = rng.bit_generator.state
+
+    def the_chunk():
+        rng.bit_generator.state = start  # the fixture's chunk, every call
+        return harness._chunk_tally(rng, len(u), SPLIT, RADIUS, floor, work)
+
+    _timed(benchmark, the_chunk)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])

@@ -45,7 +45,6 @@ from .states import (
     shell_chunk,
     shell_screen,
     shell_states,
-    shell_uniforms,
     standard_normals,
     werner,
     werner_matrix,
@@ -182,7 +181,7 @@ def _scan_part(total_dim: int, split: BipartiteSplit, radius: float, seed: int,
     """Samples [first, stop) of one `shell_scan` shell, drawn chunk by chunk
     (`shell_chunk` samples each, the last one ragged) from default_rng(seed)
     advanced past the 2 N^2 uniforms (one PCG64 step each) of every earlier
-    sample.  One `ShellWork`, sized for a chunk, holds every chunk's
+    sample.  One `ShellWork`, sized for a chunk, stages every chunk's
     uniforms and screen stacks, so the part allocates them once.
 
     Returns their tally (see _merge, _chunk_tally): the minimum is inf when
@@ -194,16 +193,15 @@ def _scan_part(total_dim: int, split: BipartiteSplit, radius: float, seed: int,
     work = ShellWork(total_dim, min(chunk, stop - first))
     tally = (0, 0, np.inf)
     for start in range(first, stop, chunk):
-        u = shell_uniforms(rng, total_dim, min(chunk, stop - start), out=work.uniforms)
-        tally = _merge(tally, _chunk_tally(u, split, radius, tally[2], work))
+        tally = _merge(tally, _chunk_tally(rng, min(chunk, stop - start), split, radius, tally[2], work))
     return tally
 
 
-def _chunk_tally(u: np.ndarray, split: BipartiteSplit, radius: float, floor: float,
-                 work: ShellWork) -> tuple:
-    """Tally (see _merge) of the shell attempts whose uniforms are u, which
-    follow samples whose lowest PT floor is `floor`: the tally of eigen-solving
-    every accepted state's partial transpose, bit for bit.
+def _chunk_tally(rng: np.random.Generator, count: int, split: BipartiteSplit, radius: float,
+                 floor: float, work: ShellWork) -> tuple:
+    """Tally (see _merge) of the next `count` shell attempts drawn from rng,
+    which follow samples whose lowest PT floor is `floor`: the tally of
+    eigen-solving every accepted state's partial transpose, bit for bit.
 
     The single-precision screen (`shell_screen`) settles each attempt's PSD
     verdict or leaves it open.  Its candidates c' lie within SCREEN_MARGIN /
@@ -226,10 +224,11 @@ def _chunk_tally(u: np.ndarray, split: BipartiteSplit, radius: float, floor: flo
     The attempts left open, by the PSD screen or by either test, take the
     float64 path (`shell_states`, `_exact_tally`) in one call, so every
     verdict and the minimum's eigen-solve are those of the float64 states.
-    The screen stages its stacks in `work` (see `ShellWork`), and so does
-    the PPT test; the float64 path's stacks are small and its own.
+    The uniforms, the screen and the PPT test are staged in `work` (see
+    `ShellWork`), which redraws the uniforms of the open attempts; the
+    float64 path's stacks are small and its own.
     """
-    screen = shell_screen(u, split.dim, radius, work)
+    screen = shell_screen(work.draw(rng, count), split.dim, radius, work)
     if screen.rejected.all():
         return 0, 0, floor
     ppt, unsettled = _screened_pt(screen.candidates, split, radius, floor, work)
@@ -237,7 +236,7 @@ def _chunk_tally(u: np.ndarray, split: BipartiteSplit, radius: float, floor: flo
     exact[np.flatnonzero(screen.accepted)[unsettled]] = True
     settled = ~unsettled
     tally = (int(np.count_nonzero(settled)), int(np.count_nonzero(ppt & settled)), floor)
-    states = shell_states(u[exact], split.dim, radius)
+    states = shell_states(work.redraw(np.flatnonzero(exact)), split.dim, radius)
     return _merge(tally, _exact_tally(states, split, floor)) if len(states) else tally
 
 

@@ -42,7 +42,7 @@ SHELL_PSD_TOL = 1e-12
 SCREEN_MARGIN = 1e-4
 # Shell samples are stacked so that one N x N complex stack takes about this
 # many bytes: 1,024 samples at N = 4, 202 at N = 9, 64 at N = 16.  A shell
-# part screens every chunk in four arrays of this size (`ShellWork`),
+# part screens every chunk in three stacks of this size (`ShellWork`),
 # allocated once, so it bounds peak memory.  Each chunk makes a fixed number
 # of stacked numpy calls whatever its rows, so larger chunks make fewer:
 # 64 KiB chunks made 1,116 Cholesky calls per claim check at d = 3.
@@ -201,21 +201,44 @@ class ShellWork:
     at dimension `dim`, allocated once per shell part and reused for every
     chunk, so that no chunk allocates (and page-faults) stacks of its own.
 
-    - `uniforms` (count, 2, N^2): the attempts' uniforms.
-    - `candidates` (count, N, N) complex: the normals G, then the screened
-      candidates.
-    - `pt` (count, N, N) complex: the float64 Box-Muller radius, then
-      rho0' = G G† / tr, then the candidates' partial transposes.
-    - `scratch` (count, N, N) complex: the float32 Box-Muller stages, then
-      the conjugate of G, then where `cholesky_passes` factors.
+    Three (count, N, N) complex stacks each hold one stage after another:
 
-    Each stage of a chunk writes the rows it uses before it reads them, so
-    nothing carries over from one chunk to the next.
+    - `candidates`: the normals G, then the screened candidates.
+    - `pt`: the Box-Muller stages, then rho0' = G G† / tr, then the
+      candidates' partial transposes.
+    - `scratch`: the chunk's uniforms (`draw`), then the conjugate of G,
+      then where `cholesky_passes` factors.
+
+    Each stage writes the rows it uses before it reads them, so nothing
+    carries over from one chunk to the next.  The uniforms are gone once
+    the screen has read them; `redraw` draws the rows a chunk still needs
+    again, from the generator state that `draw` saved.
     """
 
     def __init__(self, dim: int, count: int):
-        self.uniforms = np.empty((count, 2, dim * dim))
+        self.dim = dim
         self.candidates, self.pt, self.scratch = np.empty((3, count, dim, dim), dtype=np.complex128)
+        self._state = None
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """`shell_uniforms(rng, N, count)`, drawn into the memory of `scratch`
+        (a complex row has the bytes of one attempt's 2 N^2 uniforms)."""
+        self._state = rng.bit_generator.state
+        out = self.scratch.reshape(-1).view(np.float64)[:2 * count * self.dim**2]
+        return shell_uniforms(rng, self.dim, count, out=out.reshape(count, 2, self.dim**2))
+
+    def redraw(self, rows: np.ndarray) -> np.ndarray:
+        """The uniforms of the attempts at `rows` (ascending indices) of the
+        last `draw`, drawn again: its stream advanced past the 2 N^2
+        uniforms (one PCG64 step each) of every attempt before each row."""
+        bits = np.random.PCG64(0)
+        bits.state = self._state
+        generator, out, drawn = np.random.Generator(bits), np.empty((len(rows), 2, self.dim**2)), 0
+        for row, uniforms in zip(rows, out):
+            bits.advance(int(row - drawn) * 2 * self.dim**2)
+            generator.random(out=uniforms)
+            drawn = row + 1
+        return out
 
 
 def _stacked_traces(w: np.ndarray) -> np.ndarray:
@@ -332,13 +355,16 @@ def _float32_gram(u: np.ndarray, dim: int, radius: float, work: ShellWork) -> tu
 
     The normals come from the Box-Muller transform in single precision:
     the float64 radius rounded, and a float32 angle, cosine and sine.  The
-    transform is staged in the memory of the stacks that the Gram matrix
-    and its conjugate overwrite next, and rho0' is written into `work.pt`.
+    transform is staged in `work.pt`, which rho0' then overwrites; u may be
+    `work.draw`'s, which the conjugate of G overwrites once u is read.
     """
     count, n2 = len(u), dim * dim
     g = work.candidates[:count]
-    r64 = work.pt.reshape(-1).view(np.float64)[:count * n2].reshape(count, n2)
-    r32, angle, trig = work.scratch.reshape(-1).view(np.float32)[:3 * count * n2].reshape(3, count, n2)
+    # Four float32 (k, N^2) arrays fill `work.pt`: the float64 radius takes
+    # the first two, and the trig factor the first once that is read.
+    staged = work.pt.reshape(-1).view(np.float32)[:4 * count * n2].reshape(4, count, n2)
+    r64 = staged[:2].reshape(-1).view(np.float64).reshape(count, n2)
+    trig, _, r32, angle = staged
     # 1 - random() lies in (0, 1], keeping the log finite.
     np.subtract(1.0, u[:, 0], out=r64)
     np.log(r64, out=r64)

@@ -409,7 +409,11 @@ def test_staged_float32_gram_equals_one_built_from_fresh_arrays():
         work = states.ShellWork(dim, count + 7)
         for stack in (work.candidates, work.pt, work.scratch):
             stack.fill(np.nan)
-        rho0, scale = states._float32_gram(u, dim, radius, work)
+        # The uniforms drawn into `work.scratch`, which the conjugate of G
+        # overwrites once they are read.
+        drawn = work.draw(np.random.default_rng(dim), count)
+        assert drawn.tobytes() == u.tobytes()
+        rho0, scale = states._float32_gram(drawn, dim, radius, work)
         length = np.sqrt(-2.0 * np.log(1.0 - u[:, 0])).astype(np.float32)
         angle = u[:, 1].astype(np.float32) * np.float32(2.0 * np.pi)
         g = np.empty((count, dim * dim), dtype=np.complex128)
@@ -421,6 +425,29 @@ def test_staged_float32_gram_equals_one_built_from_fresh_arrays():
         want = radius / np.sqrt(np.einsum("ij,ij->i", flat, flat) / (trace * trace) - 1.0 / dim)
         assert rho0.tobytes() == (w / trace[:, None, None]).tobytes(), dim
         assert scale.tobytes() == want.tobytes(), dim
+
+
+def test_redraw_gives_the_rows_of_the_last_draw():
+    # A chunk's uniforms are overwritten by the screen; the open rows are
+    # drawn again from the stream, bit for bit, and the stream the caller
+    # goes on drawing from is untouched.
+    dim, count = 9, 30
+    rng = np.random.default_rng(3)
+    rng.random(17)
+    work = states.ShellWork(dim, count)
+    for _ in range(2):  # a second chunk redraws from its own start
+        state = rng.bit_generator.state
+        first = work.draw(rng, count).copy()
+        after = rng.bit_generator.state
+        work.scratch.fill(np.nan)
+        for rows in ([], [0], [4, 5, 29], list(range(count))):
+            got = work.redraw(np.array(rows, dtype=np.intp))
+            assert got.shape == (len(rows), 2, dim * dim)
+            assert got.tobytes() == first[rows].tobytes()
+        assert rng.bit_generator.state == after
+        replay = np.random.default_rng()
+        replay.bit_generator.state = state
+        assert replay.random((count, 2, dim * dim)).tobytes() == first.tobytes()
 
 
 def test_claim_check_screens_every_shell_chunk(monkeypatch):
