@@ -236,7 +236,10 @@ def _chunk_tally(rng: np.random.Generator, count: int, split: BipartiteSplit, ra
     exact[np.flatnonzero(screen.accepted)[unsettled]] = True
     settled = ~unsettled
     tally = (int(np.count_nonzero(settled)), int(np.count_nonzero(ppt & settled)), floor)
-    states = shell_states(work.redraw(np.flatnonzero(exact)), split.dim, radius)
+    open_rows = np.flatnonzero(exact)
+    if not open_rows.size:
+        return tally
+    states = shell_states(work.redraw(open_rows), split.dim, radius)
     return _merge(tally, _exact_tally(states, split, floor)) if len(states) else tally
 
 
