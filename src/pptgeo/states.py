@@ -44,8 +44,8 @@ SCREEN_MARGIN = 1e-4
 # many bytes: 1,024 samples at N = 4, 202 at N = 9, 64 at N = 16.  A shell
 # part screens every chunk in three stacks of this size (`ShellWork`),
 # allocated once, so it bounds peak memory.  Each chunk makes a fixed number
-# of stacked numpy calls whatever its rows, so larger chunks make fewer:
-# 64 KiB chunks made 1,116 Cholesky calls per claim check at d = 3.
+# of stacked numpy calls whatever its rows, so larger chunks make fewer: a
+# claim check at d = 3 makes 389 Cholesky calls at this size, 1,116 at 64 KiB.
 SHELL_CHUNK_BYTES = 256 * 1024
 
 
@@ -183,17 +183,12 @@ def shell_chunk(dim: int) -> int:
     return max(1, SHELL_CHUNK_BYTES // (16 * dim * dim))
 
 
-def shell_uniforms(rng: np.random.Generator, dim: int, count: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def shell_uniforms(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     """The uniforms of `count` shell attempts, shape (count, 2, N^2): one
-    PCG64 draw, in the stream order of drawing the attempts one at a time.
-    With `out` (a (k, 2, N^2) float64 array, k >= count) they are drawn
-    into its first `count` rows, which are returned."""
+    PCG64 draw, in the stream order of drawing the attempts one at a time."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if out is None:
-        return rng.random((count, 2, dim * dim))
-    return rng.random(out=out[:count])
+    return rng.random((count, 2, dim * dim))
 
 
 class ShellWork:
@@ -221,11 +216,12 @@ class ShellWork:
         self._state = None
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """`shell_uniforms(rng, N, count)`, drawn into the memory of `scratch`
-        (a complex row has the bytes of one attempt's 2 N^2 uniforms)."""
+        """`shell_uniforms(rng, N, count)` bit for bit, drawn into the memory
+        of `scratch` (a complex row has the bytes of one attempt's 2 N^2
+        uniforms)."""
         self._state = rng.bit_generator.state
         out = self.scratch.reshape(-1).view(np.float64)[:2 * count * self.dim**2]
-        return shell_uniforms(rng, self.dim, count, out=out.reshape(count, 2, self.dim**2))
+        return rng.random(out=out.reshape(count, 2, self.dim**2))
 
     def redraw(self, rows: np.ndarray) -> np.ndarray:
         """The uniforms of the attempts at `rows` (ascending indices) of the
