@@ -13,7 +13,8 @@ and NPT samples and rejects all occur, with the chunk's stacks staged in one
 - the uniform draw (`ShellWork.draw`),
 - the single-precision screen (`shell_screen`),
 - the float64 path on the rows the screen leaves open (`shell_states`),
-- the PT decision on the screened candidates (`_screened_pt`),
+- the PT decision on the screened candidates (their partial transposes
+  and `_pt_tally`),
 
 and, end to end, one whole chunk (`_chunk_tally`), `claim_check(d)` for
 d = 2..6 with 2,000 samples per shell, `python -m pptgeo claim-check --d 4`
@@ -31,9 +32,10 @@ import numpy as np
 import pytest
 
 from pptgeo import harness, states
-from pptgeo.bipartite import BipartiteSplit, is_ppt
+from pptgeo.bipartite import BipartiteSplit, is_ppt, partial_transpose
 from pptgeo.bounds import ppt_radius
 from pptgeo.distill import find_schmidt2_witness
+from pptgeo.linalg import cholesky_margin
 
 D = 3
 SPLIT = BipartiteSplit(D, D)
@@ -63,7 +65,7 @@ def chunk():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "shell_states", recorded)
         harness._chunk_tally(np.random.default_rng(7), count, SPLIT, RADIUS, floor, _work(count))
-    return u, states.shell_screen(u, dim, RADIUS), sent[0], floor
+    return u, states.shell_screen(u, dim, RADIUS, _work(count)), sent[0], floor
 
 
 @pytest.fixture(autouse=True)
@@ -95,7 +97,14 @@ def test_stage_float64_path_on_open_rows(benchmark, chunk):
 
 def test_stage_pt_decision(benchmark, chunk):
     u, screen, _, floor = chunk
-    _timed(benchmark, harness._screened_pt, screen.candidates, SPLIT, RADIUS, floor, _work(len(u)))
+    work, rows = _work(len(u)), len(screen.candidates)
+    margin = states.SCREEN_MARGIN + cholesky_margin(SPLIT.dim)
+
+    def pt_decision():
+        pt = partial_transpose(screen.candidates, SPLIT, out=work.pt[:rows])
+        return harness._pt_tally(pt, RADIUS, floor, margin, work.scratch)
+
+    _timed(benchmark, pt_decision)
 
 
 def test_whole_chunk(benchmark, chunk):

@@ -140,7 +140,7 @@ def min_pt_eigenvalues(states: np.ndarray, split: BipartiteSplit) -> np.ndarray:
     """Smallest partial-transpose eigenvalue of each state in a (k, N, N) stack.
 
     One stacked eigen-solve and no re-validation: the stack must hold
-    exactly Hermitian matrices, as `DensityMatrix` and `states.shell_batch`
+    exactly Hermitian matrices, as `DensityMatrix` and `states.shell_states`
     store them.  The partial transpose only permutes entries, so it is
     Hermitian to the bit as well.
     """

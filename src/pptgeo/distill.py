@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import serialize
 from .bipartite import PPT_TOL, BipartiteSplit, partial_transpose
 from .states import DensityMatrix, PureState, standard_normals
 
@@ -138,21 +139,23 @@ def find_schmidt2_witness(rho: DensityMatrix, split: BipartiteSplit,
     The partial transpose is eigen-solved once first.  When its smallest
     eigenvalue is at least -PPT_TOL (the threshold at which `is_ppt` and
     `classify` call a state PPT), no witness exists and the result is a
-    certified miss with no restarts run.  When either factor is 2-dimensional every vector
-    has Schmidt rank <= 2, so the PT ground state from that same solve is
-    the witness and the search is exact.  Otherwise
-    `restarts` independent alternating minimizations, started from derived
-    seeds (seed + restart index), run together as one stacked batch; each
-    step refits both subspaces by QR and takes its value from the second of
-    its two eigen-solves.  Each restart stops on its own once a step lowers
-    its value by at most max(STOP_RTOL |value|, 1e-14), or after `iters`
-    steps.  The best computed value wins, ties to the lowest restart index;
-    a miss there is inconclusive.
+    certified miss with no restarts run.  When either factor is
+    2-dimensional every vector has Schmidt rank <= 2, so the PT ground
+    state from that same solve is the witness and the search is exact.
+    Otherwise `restarts` independent alternating minimizations, started
+    from derived seeds (seed + restart index), run together as one stacked
+    batch; each step refits both subspaces by QR and takes its value from
+    the second of its two eigen-solves.  Each restart stops on its own once
+    a step lowers its value by at most max(STOP_RTOL |value|, 1e-14), or
+    after `iters` steps.  The best computed value wins, ties to the lowest
+    restart index; a miss there is inconclusive.  `restarts` and `iters`
+    must be integers >= 1 and `seed` an integer >= 0, whatever the input.
     """
+    serialize.check_int("restarts", restarts)
+    serialize.check_int("iters", iters)
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    serialize.check_seed(seed)
     split.check_dim(rho.dim)
     m, n = split.m, split.n
     sigma = partial_transpose(rho, split)

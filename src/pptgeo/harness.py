@@ -35,7 +35,7 @@ from .bipartite import (
     schmidt,
 )
 from .bounds import BoundsTable, ball_radius, bounds_table, werner_pm
-from .linalg import as_hermitian, cholesky_margin, cholesky_passes, hs_distance, min_eig_at_least
+from .linalg import as_hermitian, cholesky_margin, cholesky_passes, hs_distance
 from .states import (
     SCREEN_MARGIN,
     DensityMatrix,
@@ -204,58 +204,52 @@ def _chunk_tally(rng: np.random.Generator, count: int, split: BipartiteSplit, ra
     eigen-solving every accepted state's partial transpose, bit for bit.
 
     The single-precision screen (`shell_screen`) settles each attempt's PSD
-    verdict or leaves it open.  Its candidates c' lie within SCREEN_MARGIN /
-    100 of the float64 ones c in HS norm, and the partial transpose is an
-    HS isometry, so by Weyl's inequality each PT floor of c' lies as close
-    to that of c.  A Cholesky certificate on the PTs of the accepted c',
-    with the margin m = SCREEN_MARGIN + `cholesky_margin(N)`, settles the
-    rest (`_screened_pt`):
-
-    - PPT verdict: PPT when it passes at -PPT_TOL + m, NPT when it fails at
-      -PPT_TOL - m; otherwise open.  The side tested on every row is the
-      NPT one once `floor` lies below -PPT_TOL, the PPT one before.
-    - Minimum: a row that passes at `floor` + m has a floor above `floor`.
-      Of the others (only the unsettled and NPT ones once a row is NPT or
-      `floor` is below -PPT_TOL, since every PPT floor lies above an NPT
-      one), `_likely_lowest` brackets the lowest below `top`, so some
-      accepted state has a PT floor below top + m; a row that passes at
-      min(floor, top + m) + m lies above it and cannot be the minimum.
-
-    The attempts left open, by the PSD screen or by either test, take the
-    float64 path (`shell_states`, `_exact_tally`) in one call, so every
-    verdict and the minimum's eigen-solve are those of the float64 states.
-    The uniforms, the screen and the PPT test are staged in `work` (see
-    `ShellWork`), which redraws the uniforms of the open attempts; the
-    float64 path's stacks are small and its own.
+    verdict or leaves it open, and `_pt_tally` what it can of the accepted
+    ones.  Their candidates lie within SCREEN_MARGIN / 100 of the float64
+    states in HS norm, and so do their partial transposes (an HS isometry),
+    so the tally's margin is SCREEN_MARGIN + `cholesky_margin(N)`.  The
+    attempts left open take the float64 path (`shell_states`,
+    `_exact_tally`) in one call.  The uniforms, the screen and the PT tally
+    are staged in `work` (see `ShellWork`), which redraws the uniforms of
+    the open attempts; the float64 path's stacks are small and its own.
     """
     screen = shell_screen(work.draw(rng, count), split.dim, radius, work)
     if screen.rejected.all():
         return 0, 0, floor
-    ppt, unsettled = _screened_pt(screen.candidates, split, radius, floor, work)
+    pt = partial_transpose(screen.candidates, split, out=work.pt[:len(screen.candidates)])
+    ppt, unsettled = _pt_tally(pt, radius, floor, SCREEN_MARGIN + cholesky_margin(split.dim), work.scratch)
     exact = ~(screen.rejected | screen.accepted)
     exact[np.flatnonzero(screen.accepted)[unsettled]] = True
-    settled = ~unsettled
-    tally = (int(np.count_nonzero(settled)), int(np.count_nonzero(ppt & settled)), floor)
+    tally = (int(np.count_nonzero(~unsettled)), int(np.count_nonzero(ppt & ~unsettled)), floor)
     open_rows = np.flatnonzero(exact)
     if not open_rows.size:
         return tally
-    states = shell_states(work.redraw(open_rows), split.dim, radius)
-    return _merge(tally, _exact_tally(states, split, floor)) if len(states) else tally
+    return _merge(tally, _exact_tally(shell_states(work.redraw(open_rows), split.dim, radius),
+                                      split, radius, floor))
 
 
-def _screened_pt(candidates: np.ndarray, split: BipartiteSplit, radius: float, floor: float,
-                 work: ShellWork) -> tuple:
-    """(ppt, unsettled): bools per screened candidate, PPT by the certificate,
-    and left open by the PPT or the minimum test (see _chunk_tally).  The
-    partial transposes go into `work.pt` and are factored in `work.scratch`.
+def _pt_tally(pt: np.ndarray, radius: float, floor: float, margin: float,
+              scratch: np.ndarray | None = None) -> tuple:
+    """(ppt, unsettled): bools per row of a stack of partial transposes
+    whose states follow samples with lowest PT floor `floor`: PPT by a
+    Cholesky certificate (`cholesky_passes`, factoring in `scratch`), and
+    left open by either test below.  `margin` is `cholesky_margin(N)` plus
+    how far, in HS norm, a row may lie from the float64 PT whose verdict
+    and floor count (by Weyl's inequality, each eigenvalue lies as close):
 
-    The candidates lie at HS distance `radius` from I/N, and so do their
-    partial transposes, so no PT floor lies below 1/N - radius
-    sqrt((N-1)/N): the bisection for the lowest starts there."""
-    dim = split.dim
-    pt = partial_transpose(candidates, split, out=work.pt[:len(candidates)])
-    margin = SCREEN_MARGIN + cholesky_margin(dim)
-    passes = functools.partial(cholesky_passes, pt, out=work.scratch)
+    - PPT verdict: PPT when it passes at -PPT_TOL + margin, NPT when it
+      fails at -PPT_TOL - margin; otherwise open.
+    - Minimum: a row that passes at `floor` + margin has a floor above
+      `floor`.  Of the others (only the non-PPT ones once a row is NPT or
+      `floor` is below -PPT_TOL, since every PPT floor lies above an NPT
+      one), some fails at the shift `top` that `_likely_lowest` returns, so
+      some floor lies below top + margin; a row that passes at
+      min(floor, top + margin) + margin cannot be the lowest.
+
+    The PTs lie at HS distance `radius` from I/N, so no PT floor lies below
+    1/N - radius sqrt((N-1)/N), where the bisection for the lowest starts."""
+    dim = pt.shape[-1]
+    passes = functools.partial(cholesky_passes, pt, out=scratch)
     # The first test runs on every row, so it takes the side that most rows
     # lie on: the NPT side once the shell holds an NPT row.
     ppt, npt = np.zeros(len(pt), dtype=bool), np.zeros(len(pt), dtype=bool)
@@ -273,66 +267,43 @@ def _screened_pt(candidates: np.ndarray, split: BipartiteSplit, radius: float, f
         rows = rows[~passes(floor + margin, rows)]
     if rows.size:
         # No PT floor exceeds 1/N, the mean of a unit-trace spectrum.
-        _, top = _likely_lowest(pt, rows, min(floor, 1.0 / dim) + margin, margin, work.scratch,
-                                1.0 / dim - radius * np.sqrt((dim - 1) / dim) - margin)
+        top = _likely_lowest(pt, rows, min(floor, 1.0 / dim) + margin, margin, scratch,
+                             1.0 / dim - radius * np.sqrt((dim - 1) / dim) - margin)
         unsettled[rows[~passes(min(floor, top + margin) + margin, rows)]] = True
     return ppt, unsettled
 
 
-def _exact_tally(states: np.ndarray, split: BipartiteSplit, floor: float) -> tuple:
-    """Tally (see _merge) of a stack of accepted states that follows samples
-    whose lowest PT floor is `floor`; its minimum is the lowest of `floor`
-    and the stack's PT floors, exactly.
-
-    Each PT floor is what `min_pt_eigenvalues` gives, but only the rows a
-    Cholesky certificate (`cholesky_passes`, `cholesky_margin`) leaves open
-    are eigen-solved:
-
-    - PPT verdict: `min_eig_at_least` at -PPT_TOL.
-    - Minimum: a row that passes at low + margin has a floor above `low`,
-      the lowest floor known so far (`floor`, then a solved row's), so it
-      cannot be a new minimum.  While rows stay open, the
-      one `_likely_lowest` picks is solved, lowering `low`, and the rest
-      are tested again.  A PPT row's floor lies above an NPT row's, so
-      once either the stack holds an NPT row or `floor` is below -PPT_TOL,
-      only the NPT rows are open to begin with.
-
-    Every row whose floor is at most the final `low` is solved, so `low` is
-    what eigen-solving every row gives.
-    """
+def _exact_tally(states: np.ndarray, split: BipartiteSplit, radius: float, floor: float) -> tuple:
+    """Tally (see _merge) of a stack of accepted states at HS distance
+    `radius` from I/N that follows samples whose lowest PT floor is
+    `floor`: that of eigen-solving every row's partial transpose, bit for
+    bit.  `_pt_tally` at `cholesky_margin(N)` settles what it can, and the
+    rows it leaves open take one stacked eigen-solve, which gives their
+    verdicts and holds the lowest floor below `floor`, if any."""
     pt = partial_transpose(states, split)
-    ppt = min_eig_at_least(pt, -PPT_TOL)
-    margin = cholesky_margin(split.dim)
-    low = floor
-    open_rows = np.flatnonzero(~ppt) if floor < -PPT_TOL or not ppt.all() else np.arange(len(pt))
-    while open_rows.size:
-        if low < np.inf:
-            open_rows = open_rows[~cholesky_passes(pt, low + margin, open_rows)]
-        if open_rows.size:
-            # No PT floor exceeds 1/N, the mean of a unit-trace spectrum.
-            row, _ = _likely_lowest(pt, open_rows, min(low, 1.0 / split.dim) + margin, margin)
-            low = min(low, float(np.linalg.eigvalsh(pt[row:row + 1])[0, 0]))
-            open_rows = open_rows[open_rows != row]
-    return len(pt), int(np.count_nonzero(ppt)), low
+    ppt, unsettled = _pt_tally(pt, radius, floor, cholesky_margin(split.dim))
+    if unsettled.any():
+        floors = np.linalg.eigvalsh(pt[unsettled])[:, 0]
+        ppt[unsettled] = floors >= -PPT_TOL
+        floor = min(floor, float(floors.min()))
+    return len(pt), int(np.count_nonzero(ppt)), floor
 
 
 def _likely_lowest(pt: np.ndarray, rows: np.ndarray, top: float, margin: float,
-                   scratch: np.ndarray | None = None, bottom: float = -1.0) -> tuple[int, float]:
-    """The row, among `rows` of the PT stack, to eigen-solve next, and a shift
-    at which it fails to factor: bisect a shift between `bottom`, below every
-    PT floor, and `top` (at which every row fails), keeping the rows that
-    fail to factor there whenever any does, until one row is left or the
-    bracket is 4 margins wide.  No PT floor lies below -1 (the HS norm of a
-    PT is at most 1).  The rows are factored in `scratch` (see
-    `cholesky_passes`).  A `bottom` too high costs steps, not correctness:
-    the row returned fails at the shift returned.
+                   scratch: np.ndarray | None, bottom: float) -> float:
+    """A shift at which some row among `rows` of the PT stack fails to
+    factor (in `scratch`, see `cholesky_passes`), bracketing the lowest PT
+    floor: bisect a shift between `bottom`, below every PT floor, and `top`
+    (at which every row fails), keeping the rows that fail there whenever
+    any does, until one row is left or the bracket is 4 margins wide.  A
+    `bottom` too high costs steps, not correctness.
 
     Of more than 64 rows, a sample of about 32 is bisected first, and only
     the rows that fail at the shift it ends at are bisected on: on a first
     chunk at N = 4 that factors each row 1.2 times rather than 2.6.
     """
     if rows.size > 64:
-        _, top = _likely_lowest(pt, rows[::rows.size // 32], top, margin, scratch, bottom)
+        top = _likely_lowest(pt, rows[::rows.size // 32], top, margin, scratch, bottom)
         rows = rows[~cholesky_passes(pt, top, rows, scratch)]
     while rows.size > 1 and top - bottom > 4 * margin:
         shift = (bottom + top) / 2
@@ -341,16 +312,7 @@ def _likely_lowest(pt: np.ndarray, rows: np.ndarray, top: float, margin: float,
             rows, top = failing, shift
         else:
             bottom = shift
-    return int(rows[0]), top
-
-
-def _check_seed(seed) -> None:
-    """Raise ValueError naming `seed` unless it is an integer >= 0 (a bool
-    is not)."""
-    if not serialize.is_int(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    return top
 
 
 def _usable_cpus() -> int:
@@ -381,11 +343,10 @@ def shell_scan(total_dim: int, split: BipartiteSplit, radii, samples_per_shell: 
         raise ValueError("radii must be strictly ascending")
     if any(not 0.0 < r < outer for r in radii):
         raise ValueError(f"radii must lie in (0, {outer:.6f})")
-    if not serialize.is_int(samples_per_shell):
-        raise ValueError(f"samples_per_shell must be an integer, got {samples_per_shell!r}")
+    serialize.check_int("samples_per_shell", samples_per_shell)
     if samples_per_shell < 1:
         raise ValueError("samples_per_shell must be >= 1")
-    _check_seed(base_seed)
+    serialize.check_seed(base_seed)
 
     samples = int(samples_per_shell)
     chunks = -(-samples // shell_chunk(total_dim))
@@ -493,11 +454,10 @@ def claim_check(qudit_dim: int, samples: int = DEFAULT_SAMPLES_PER_SHELL,
     d = qudit_dim
     if not 2 <= d <= 6:
         raise ValueError(f"qudit_dim must lie in 2..6, got {d}")
-    if not serialize.is_int(samples):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
+    serialize.check_int("samples", samples)
     if not 1 <= samples <= MAX_SAMPLES_PER_SHELL:
         raise ValueError(f"samples must lie in 1..{MAX_SAMPLES_PER_SHELL}, got {samples}")
-    _check_seed(base_seed)
+    serialize.check_seed(base_seed)
     split = BipartiteSplit(d, d)
     table = bounds_table(d)
     sweep = werner_sweep(d)

@@ -84,6 +84,19 @@ def is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def check_int(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer (see is_int)."""
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """Raise ValueError naming `seed` unless it is an integer >= 0."""
+    check_int("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def array_from_json(obj: dict) -> tuple[np.ndarray, tuple[int, int] | None]:
     """Decode matrix JSON into an ndarray (N x N matrix or length-N vector).
 

@@ -5,15 +5,14 @@ with G a square matrix of independent standard complex Gaussians.  Streams are
 reproducible: PCG64 supplies uniforms and Gaussians come from a vectorized
 Box-Muller transform, so a seed pins the output bit-for-bit.  Shell samples
 are drawn in stacks whose output and stream match drawing them one at a
-time.  Every stack first passes a screen on single-precision normals
-(`shell_screen`), which settles most PSD verdicts by a Cholesky certificate
-with SCREEN_MARGIN to spare; only the attempts it leaves open, or whose
-float64 states a caller needs, take the exact float64 path
-(`shell_states`).  There stacked traces and norms reduce each sample in
-numpy's per-matrix order, and the PSD test settles rows by closed-form
-bounds, then by a Cholesky certificate, and eigen-solves only the rows both
-leave open (see `shell_batch`).  The generator identity string is recorded
-in every report header.
+time.  A shell scan's stacks first pass a screen on single-precision
+normals (`shell_screen`), which settles most PSD verdicts by a Cholesky
+certificate with SCREEN_MARGIN to spare; only the attempts it leaves open
+take the exact float64 path (`shell_states`), which `shell_attempt` runs
+alone.  There stacked traces and norms reduce each sample in numpy's
+per-matrix order, and the PSD test settles rows by closed-form bounds, then
+by a Cholesky certificate, and eigen-solves only the rows both leave open.
+The generator identity string is recorded in every report header.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ PURE_NORM_TOL = 1e-12
 # solve is needed before it leaves the sampler.
 SHELL_PSD_TOL = 1e-12
 # How far past a threshold the single-precision screen must prove an
-# eigenvalue before it settles a verdict (see shell_batch).  Rounding the
+# eigenvalue before it settles a verdict (see shell_screen).  Rounding the
 # normals to float32 moves a shell candidate by at most 4e-7 in HS norm
 # (measured for N = 4..36), and so each eigenvalue of it and of its partial
 # transpose by no more, so each settled verdict holds by a wide margin.
@@ -294,13 +293,13 @@ def _check_traces(stack: np.ndarray) -> None:
 
 def _inside_floor(dim: int, radius: float) -> bool:
     """Whether `radius` lies within the spectral floor 1/sqrt(N(N-1)), inside
-    which every shell candidate is PSD (see shell_batch)."""
+    which every shell candidate is PSD (see shell_states)."""
     return radius <= 1.0 / np.sqrt(dim * (dim - 1))
 
 
 def _psd_bounds(dim: int, scale: np.ndarray, radius: float) -> np.ndarray:
     """Rows of a shell-candidate stack, with rescale factors `scale`, that
-    closed-form bounds certify as accepted (see shell_batch)."""
+    closed-form bounds certify as accepted (see shell_states)."""
     if _inside_floor(dim, radius):
         return np.ones(len(scale), dtype=bool)
     return scale <= 1.0
@@ -323,15 +322,28 @@ def _float64_candidates(u: np.ndarray, dim: int, radius: float) -> tuple[np.ndar
 
 
 def shell_states(u: np.ndarray, dim: int, radius: float) -> np.ndarray:
-    """The accepted states of the shell attempts whose uniforms are u, by the
-    float64 path (see shell_batch): a (k, N, N) stack in row order."""
+    """The accepted states of the shell attempts whose uniforms are u (k, 2,
+    N^2), by the float64 path: a (k', N, N) stack in row order, each
+    Hermitian to the bit, of unit trace and bit-identical to one computed
+    alone, since the stacked reductions (`_stacked_traces`,
+    `_stacked_norms`) sum each sample in numpy's per-matrix order.
+
+    An attempt rescales the traceless part Delta of an HS-random state rho0
+    to HS norm `radius`, giving I/N + s Delta = (1 - s) I/N + s rho0, and
+    is rejected when that leaves the PSD cone (smallest eigenvalue below
+    -SHELL_PSD_TOL).  It is a certified accept when s <= 1 (a convex mix of
+    PSD matrices) or radius <= 1/sqrt(N(N-1)), the spectral floor (a
+    traceless Hermitian matrix of HS norm r has no eigenvalue below
+    -r sqrt((N-1)/N)); rounding moves these bounds by order N eps, far
+    inside the eigen-solve's own tolerance.  The other rows take
+    `min_eig_at_least`, which eigen-solves only those that its Cholesky
+    certificate leaves within `cholesky_margin(N)` of the threshold.
+    """
     if not len(u):
         return np.empty((0, dim, dim), dtype=np.complex128)
     candidates, scale = _float64_candidates(u, dim, radius)
     keep = _psd_bounds(dim, scale, radius)
-    undecided = ~keep
-    if undecided.any():
-        keep[undecided] = min_eig_at_least(candidates[undecided], -SHELL_PSD_TOL)
+    keep[~keep] = min_eig_at_least(candidates[~keep], -SHELL_PSD_TOL)
     accepted = candidates[keep]
     _check_traces(accepted)
     return accepted
@@ -383,15 +395,27 @@ def _float32_gram(u: np.ndarray, dim: int, radius: float, work: ShellWork) -> tu
     return w, scale
 
 
-def shell_screen(u: np.ndarray, dim: int, radius: float, work: ShellWork | None = None) -> ShellScreen:
+def shell_screen(u: np.ndarray, dim: int, radius: float, work: ShellWork) -> ShellScreen:
     """The PSD verdicts that the single-precision screen settles for shell
     uniforms (k, 2, N^2), and the screened candidates c' = I/N + s' Delta'
-    of the attempts it accepts, each checked for unit trace (see
-    shell_batch).  Every stack is staged in `work` (a fresh `ShellWork` by
-    default), and the candidates are a view of `work.candidates`."""
+    of the attempts it accepts, each checked for unit trace.  Every stack
+    is staged in `work`; the candidates are a view of `work.candidates`.
+
+    From float32 normals (`_float32_gram`), c' has the smallest eigenvalue
+    1/N - s' (1/N - lambda_min(rho0')), which lies below a level L exactly
+    when lambda_min(rho0') lies below tau(L) = 1/N - (1/N - L) / s' (taken
+    no lower than -1, below which no eigenvalue of rho0' lies).  With m =
+    `cholesky_margin(N)`, every row is accepted inside the spectral floor
+    (see `shell_states`), and so is one with (1 - s') / N >= SCREEN_MARGIN
+    + m, since c' = (1 - s') I/N + s' rho0'.  Of the others, a row is
+    rejected when rho0' - (tau - m) I fails to factor (`cholesky_passes`)
+    at L = -SHELL_PSD_TOL - SCREEN_MARGIN, accepted when rho0' - (tau + m) I
+    factors at L = -SHELL_PSD_TOL + SCREEN_MARGIN, and left open otherwise.
+    The float64 candidate lies within 4e-7 of c' in HS norm (measured for
+    N = 4..36; the tests assert SCREEN_MARGIN / 100), so by Weyl's
+    inequality each settled row gets the verdict that `shell_states` gives.
+    """
     count = len(u)
-    if work is None:
-        work = ShellWork(dim, count)
     rho0, scale = _float32_gram(u, dim, radius, work)
     rejected, accepted = np.zeros(count, dtype=bool), np.ones(count, dtype=bool)
     margin = cholesky_margin(dim)
@@ -418,68 +442,7 @@ def shell_screen(u: np.ndarray, dim: int, radius: float, work: ShellWork | None 
     return ShellScreen(rejected, accepted, candidates)
 
 
-def shell_batch(rng: np.random.Generator, dim: int, radius: float, count: int) -> np.ndarray:
-    """`count` attempts at states on the shell of HS radius `radius` around I/N.
-
-    Each attempt draws an HS-random state rho0, rescales its traceless part
-    Delta = rho0 - I/N to the target norm, and is rejected when the result
-    leaves the PSD cone (smallest eigenvalue below -SHELL_PSD_TOL).  Returns
-    the accepted states as a (k, N, N) stack, each Hermitian to the bit and
-    of unit trace; k = 0 gives an empty (0, N, N) stack.
-
-    The attempts are stacked.  Every stacked operation is elementwise or
-    per matrix, and the trace and norm reductions (`_stacked_traces`,
-    `_stacked_norms`) sum each sample in the order `np.trace` and
-    `np.linalg.norm` do, so the result and the generator stream are
-    bit-identical to `count` single attempts.
-
-    The screen (`shell_screen`) runs first, at every radius.  On a float32
-    Box-Muller transform, whose cosine and sine cost a tenth of the float64
-    ones, it forms the Gram matrix w = G G† of the normals, t = tr w,
-    rho0' = w / t, ||Delta'||^2 = ||w||_F^2 / t^2 - 1/N and s' =
-    radius / ||Delta'||.  With s' > 0 the candidate c' = I/N + s' Delta'
-    has the smallest eigenvalue 1/N - s' (1/N - lambda_min(rho0')), which
-    lies below a level L exactly when lambda_min(rho0') lies below
-    tau(L) = 1/N - (1/N - L) / s'.  So, with m = `cholesky_margin(N)`:
-
-    - radius <= 1/sqrt(N(N-1)), the spectral floor, accepts every row (as
-      below), and so does (1 - s') / N >= SCREEN_MARGIN + m, since
-      c' = (1 - s') I/N + s' rho0' and rho0' is PSD up to rounding.
-    - Of the other rows, one is rejected when rho0' - (tau - m) I fails to
-      factor (`cholesky_passes`) at L = -SHELL_PSD_TOL - SCREEN_MARGIN, and
-      accepted when rho0' - (tau + m) I factors at L = -SHELL_PSD_TOL +
-      SCREEN_MARGIN; tau is taken no lower than -1, below which no
-      eigenvalue of rho0' lies.
-
-    The rest are left open.  The float64 candidate c lies within 4e-7 of c'
-    in HS norm (measured for N = 4..36; the tests assert SCREEN_MARGIN / 100),
-    so by Weyl's inequality each settled row gets the verdict that the
-    float64 path gives.  This function needs every accepted
-    state's float64 bits, so it sends every row the screen does not reject
-    through that path (`shell_states`).  There closed-form bounds certify
-    most accepts without an eigen-solve.  With s = radius / ||Delta||, a
-    candidate is I/N + s Delta = (1 - s) I/N + s rho0, so:
-
-    - s <= 1 makes it a convex mix of PSD matrices: certified accept.
-    - radius <= 1/sqrt(N(N-1)) is a certified accept for every row: a
-      traceless Hermitian matrix of HS norm r has no eigenvalue below
-      -r sqrt((N-1)/N), which is -1/N there.
-
-    Rounding moves these bounds by order N * eps, far inside the
-    eigen-solve's own tolerance, so each certified row gets the verdict the
-    eigen-solve would give.  The remaining rows take the Cholesky
-    certificate (`min_eig_at_least`): a row whose candidate minus
-    (-SHELL_PSD_TOL + m) I factors is an accept, one whose candidate minus
-    (-SHELL_PSD_TOL - m) I fails to factor is a reject, and m covers the
-    rounding of the factorization and of `eigvalsh` alike, so both match
-    the eigen-solve's verdict.  Only the rows within m of the threshold go
-    through one stacked `eigvalsh`.
-    """
-    u = shell_uniforms(rng, dim, count)
-    return shell_states(u[~shell_screen(u, dim, radius).rejected], dim, radius)
-
-
 def shell_attempt(rng: np.random.Generator, dim: int, radius: float) -> DensityMatrix | None:
-    """One shell attempt (see shell_batch); None when it leaves the PSD cone."""
-    accepted = shell_batch(rng, dim, radius, 1)
+    """One shell attempt (see shell_states); None when it leaves the PSD cone."""
+    accepted = shell_states(shell_uniforms(rng, dim, 1), dim, radius)
     return DensityMatrix(dim=dim, matrix=accepted[0]) if len(accepted) else None

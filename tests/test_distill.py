@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,12 @@ def test_witness_search_rejects_zero_iters():
 def test_witness_search_rejects_negative_seed(state, split):
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         find_schmidt2_witness(state, split, seed=-1)
+    # Refused alike on every path, a bool included: the PPT path never
+    # reads the seed, and the search would fail on it with a TypeError.
+    for name, value in [("seed", 1.5), ("seed", True), ("seed", "1"), ("restarts", True),
+                        ("restarts", 2.0), ("iters", 1.5), ("iters", False)]:
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            find_schmidt2_witness(state, split, **{name: value})
 
 
 def _parity_states():

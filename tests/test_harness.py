@@ -584,7 +584,8 @@ def _reference_scan_part(total_dim, split, radius, seed, first, stop):
     chunk = shell_chunk(total_dim)
     tally = (0, 0, np.inf)
     for start in range(first, stop, chunk):
-        batch = states.shell_batch(rng, total_dim, radius, min(chunk, stop - start))
+        u = states.shell_uniforms(rng, total_dim, min(chunk, stop - start))
+        batch = states.shell_states(u, total_dim, radius)
         if len(batch):
             tally = harness._merge(tally, _tally_of_every_row(batch, split))
     return tally
@@ -675,10 +676,18 @@ def test_screened_tally_equals_per_sample_reference(monkeypatch, factors, sample
     assert 0 < sum(sent) < len(radii) * samples
 
 
-def _npt_shell_states(split, count, seed):
-    """Accepted states of a shell beyond the PPT floor, where PPT and NPT rows mix."""
-    radius = 1.3 / math.sqrt(split.dim * (split.dim - 1))
-    return states.shell_batch(np.random.default_rng(seed), split.dim, radius, count)
+def _npt_shell_states(split, count, seed, floors=1.3):
+    """Accepted states of a shell `floors` spectral floors out, beyond the PPT
+    floor, where PPT and NPT rows mix (at 1.3 floors only at d = 2)."""
+    radius = floors / math.sqrt(split.dim * (split.dim - 1))
+    u = states.shell_uniforms(np.random.default_rng(seed), split.dim, count)
+    return states.shell_states(u, split.dim, radius)
+
+
+def _largest_distance(stack):
+    """The largest HS distance from I/N of the states in a stack."""
+    dim = stack.shape[-1]
+    return float(np.linalg.norm(stack - np.eye(dim) / dim, axis=(1, 2)).max())
 
 
 def _werner_at_pt_floor(d, target):
@@ -689,20 +698,41 @@ def _werner_at_pt_floor(d, target):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_a_later_row_lower_by_less_than_the_margin_wins(d):
+def test_a_later_row_lower_by_less_than_the_margin_wins(monkeypatch, d):
     # Werner rows whose PT floors lie 1e-13 apart, below the margin
     # (3.6e-13 at N = 4): a certificate cannot order them, the eigen-solve
-    # must, within a stack and across stacks.
+    # must, within a stack and across stacks, and among more than 64 NPT
+    # rows, where the bisection for the lowest starts on a sample of them.
     split = BipartiteSplit(d, d)
     rows = np.stack([_werner_at_pt_floor(d, -0.01 - k * 1e-13) for k in (0, 1)])
     floors = np.linalg.eigvalsh(partial_transpose(rows, split))[:, 0]
     assert floors[1] < floors[0]
     assert floors[0] - floors[1] < harness.cholesky_margin(split.dim)
-    got = harness._exact_tally(rows, split, np.inf)
+    radius = _largest_distance(rows)
+    got = harness._exact_tally(rows, split, radius, np.inf)
     assert _tally_bytes(got) == _tally_bytes(_tally_of_every_row(rows, split))
-    first = harness._exact_tally(rows[:1], split, np.inf)
-    merged = harness._merge(first, harness._exact_tally(rows[1:], split, first[2]))
+    first = harness._exact_tally(rows[:1], split, radius, np.inf)
+    merged = harness._merge(first, harness._exact_tally(rows[1:], split, radius, first[2]))
     assert _tally_bytes(merged) == _tally_bytes(got)
+
+    # Shells where some NPT floors lie above the Werner rows'.
+    shell = _npt_shell_states(split, 1000, d, {2: 1.3, 3: 1.75, 4: 2.8}[d])
+    shell_floors = np.linalg.eigvalsh(partial_transpose(shell, split))[:, 0]
+    npt = shell[(shell_floors < -PPT_TOL) & (shell_floors > floors[0])][:70]
+    assert len(npt) == 70
+    stack = np.concatenate([npt[:35], rows, npt[35:]])
+    bisected = []
+    likely_lowest = harness._likely_lowest
+
+    def recorded(pt, rows, top, margin, scratch, bottom):
+        bisected.append((rows.size, margin))
+        return likely_lowest(pt, rows, top, margin, scratch, bottom)
+
+    monkeypatch.setattr(harness, "_likely_lowest", recorded)
+    got = harness._exact_tally(stack, split, _largest_distance(stack), np.inf)
+    assert _tally_bytes(got) == _tally_bytes(_tally_of_every_row(stack, split))
+    assert got[2] == floors[1]
+    assert bisected[0] == (72, harness.cholesky_margin(split.dim)) and len(bisected) == 2
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -726,7 +756,7 @@ def test_werner_rows_next_to_the_ppt_threshold_get_the_eigensolve_verdict(monkey
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    got = harness._exact_tally(stack, split, np.inf)
+    got = harness._exact_tally(stack, split, _largest_distance(stack), np.inf)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     assert _tally_bytes(got) == _tally_bytes(_tally_of_every_row(stack, split))
     if harness.cholesky_margin(split.dim) > 1e-12:

@@ -2,6 +2,7 @@
 outside the unit tests, and imports are used."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -100,3 +101,25 @@ def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported_names(tree) - used) == []
+
+
+def test_benchmarks_name_only_what_the_package_has():
+    # benchmarks/ lies outside testpaths, so a renamed helper would break it
+    # without a tier-1 failure: every name it imports from pptgeo, and every
+    # attribute it takes of a pptgeo module (`harness._pt_tally`), must exist.
+    missing = []
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pptgeo"):
+                owner = importlib.import_module(node.module)
+                for alias in node.names:
+                    if node.module == "pptgeo" and inspect.ismodule(getattr(owner, alias.name, None)):
+                        modules[alias.asname or alias.name] = getattr(owner, alias.name)
+                    elif not hasattr(owner, alias.name):
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+        missing += [f"{path.name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and not hasattr(modules[node.value.id], node.attr)]
+    assert missing == []

@@ -16,8 +16,9 @@ from pptgeo.states import (
     maximally_mixed,
     sample_hs,
     shell_attempt,
-    shell_batch,
     shell_chunk,
+    shell_states,
+    shell_uniforms,
     standard_normals,
     werner,
 )
@@ -238,25 +239,19 @@ def test_shell_chunk_budget():
 
 
 @pytest.mark.parametrize("dim", sorted(SHELL_CASES))
-def test_shell_batch_bit_identical_to_per_sample_reference(dim, monkeypatch):
-    # Rows settled by each branch of the PSD decision: certified accept,
-    # reject by the single-precision screen, eigen-solve.
-    branches = np.zeros(3, dtype=int)
+def test_shell_states_bit_identical_to_per_sample_reference(dim, monkeypatch):
+    # Rows settled by each branch of the float64 PSD decision: certified
+    # accept by the closed-form bounds, and left to the Cholesky certificate
+    # and the eigen-solve.
+    branches = np.zeros(2, dtype=int)
     bounds = states._psd_bounds
-    screen = states.shell_screen
 
     def counted_bounds(dim, scale, radius):
         accept = bounds(dim, scale, radius)
-        branches[[0, 2]] += [accept.sum(), (~accept).sum()]
+        branches[:] += [accept.sum(), (~accept).sum()]
         return accept
 
-    def counted_screen(u, dim, radius):
-        result = screen(u, dim, radius)
-        branches[1] += result.rejected.sum()
-        return result
-
     monkeypatch.setattr(states, "_psd_bounds", counted_bounds)
-    monkeypatch.setattr(states, "shell_screen", counted_screen)
 
     (m, n), factors = SHELL_CASES[dim]
     chunk = shell_chunk(dim)
@@ -270,7 +265,7 @@ def test_shell_batch_bit_identical_to_per_sample_reference(dim, monkeypatch):
             attempts = [reference_shell_attempt(ref_rng, dim, radius) for _ in range(count)]
             expected = [a for a in attempts if a is not None]
             rng = np.random.default_rng(seed)
-            batch = shell_batch(rng, dim, radius, count)
+            batch = shell_states(shell_uniforms(rng, dim, count), dim, radius)
 
             assert batch.shape == (len(expected), dim, dim)
             for got, want in zip(batch, expected):
@@ -279,31 +274,40 @@ def test_shell_batch_bit_identical_to_per_sample_reference(dim, monkeypatch):
             want_floors = [reference_min_pt_eigenvalue(a, m, n) for a in expected]
             assert floors.tobytes() == np.array(want_floors, dtype=np.float64).tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if count == 1:
+                rng = np.random.default_rng(seed)
+                attempt = shell_attempt(rng, dim, radius)
+                assert (None if attempt is None else attempt.matrix.tobytes()) == (
+                    expected[0].tobytes() if expected else None)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
             rejected += count - len(expected)
             npt += int(np.sum(floors < -1e-9))
             ppt += int(np.sum(floors >= -1e-9))
     assert rejected > 0 and npt > 0 and ppt > 0
-    assert np.all(branches > 0), f"branch rows (accept, screened, eigen-solve): {branches}"
+    assert np.all(branches > 0), f"branch rows (accept, certificate): {branches}"
 
 
-def test_shell_batch_empty_and_negative_count(monkeypatch):
+def test_shell_states_empty_and_negative_count(monkeypatch):
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     for dim, radius in ((4, 0.2), (9, 0.9)):  # inside the floor and near the outer radius
-        empty = shell_batch(rng, dim, radius, 0)
+        empty = shell_states(shell_uniforms(rng, dim, 0), dim, radius)
         assert empty.shape == (0, dim, dim) and empty.dtype == np.complex128
     assert rng.bit_generator.state == state
 
     def no_exact_path(*args, **kwargs):
         raise AssertionError("the float64 path ran on a fully screened chunk")
 
-    # At 0.99 of the outer radius the screen drops this whole chunk.
+    # At 0.99 of the outer radius the screen drops this whole chunk, and
+    # its tally is the floor it started from.
     monkeypatch.setattr(states, "_stacked_norms", no_exact_path)
-    dropped = shell_batch(rng, 16, 0.99 * np.sqrt(15 / 16), shell_chunk(16))
-    assert dropped.shape == (0, 16, 16) and dropped.dtype == np.complex128
+    chunk = shell_chunk(16)
+    tally = harness._chunk_tally(rng, chunk, BipartiteSplit(4, 4), 0.99 * np.sqrt(15 / 16), -0.5,
+                                 states.ShellWork(16, chunk))
+    assert tally == (0, 0, -0.5)
     with pytest.raises(ValueError, match="count must be >= 0, got -1"):
-        shell_batch(rng, 4, 0.5, -1)
+        shell_uniforms(rng, 4, -1)
 
 
 class _Replay:
@@ -317,6 +321,10 @@ class _Replay:
         draw = next(self._draws)
         assert len(draw) == n
         return draw
+
+
+def _screen(u, dim, radius):
+    return states.shell_screen(u, dim, radius, states.ShellWork(dim, len(u)))
 
 
 def _exact_rejects(u, dim, radius):
@@ -341,7 +349,7 @@ def test_screen_drops_only_exact_rejects(dim):
     screened = rejects = 0
     for radius in np.linspace(0.5 * floor, 0.99 * outer, 8):
         u = np.random.default_rng([dim, int(radius * 1e6)]).random((count, 2, dim * dim))
-        screen = states.shell_screen(u, dim, radius)
+        screen = _screen(u, dim, radius)
         exact = _exact_rejects(u, dim, radius)
         assert not np.any(screen.rejected & ~exact), f"screened an exact accept at r={radius}"
         assert not np.any(screen.accepted & exact), f"accepted an exact reject at r={radius}"
@@ -361,7 +369,7 @@ def test_screen_on_constructed_rows():
                  for _ in range(4)]
     u = _uniforms_for(np.stack([proj] + [proj @ v for v in unitaries]))
     assert _exact_rejects(u, dim, radius).all()
-    assert states.shell_screen(u, dim, radius).rejected.all()
+    assert _screen(u, dim, radius).rejected.all()
 
     # Diagonal rho0 = diag(p) on the shell where the candidate's smallest
     # eigenvalue 1/N - s (1/N - min p) is exactly 0: accepted, never
@@ -374,7 +382,7 @@ def test_screen_on_constructed_rows():
             continue
         u = _uniforms_for(np.diag(np.sqrt(p))[None])
         assert not _exact_rejects(u, dim, edge)[0]
-        screen = states.shell_screen(u, dim, edge)
+        screen = _screen(u, dim, edge)
         assert not screen.rejected[0], f"screened a PSD boundary row, p={p}"
         assert not screen.accepted[0], f"settled a PSD boundary row, p={p}"
         rows += 1
@@ -489,7 +497,7 @@ def test_claim_check_sends_under_2_percent_of_rows_to_the_float64_path(monkeypat
 
 @pytest.mark.parametrize("count", [1, 7, 50])
 def test_shell_shortcuts_match_complex_arithmetic(count):
-    # shell_batch divides by the trace, shifts by I/N and scales by s through
+    # shell_states divides by the trace, shifts by I/N and scales by s through
     # real views and the diagonal; each gives numpy's complex result bit for
     # bit on Gram stacks like the sampler's.
     rng = np.random.default_rng(count)
@@ -511,14 +519,15 @@ def test_shell_shortcuts_match_complex_arithmetic(count):
         assert got.tobytes() == (eye + scale[:, None, None] * (rho - eye)).tobytes(), dim
 
 
-def test_shell_batch_inside_floor_runs_no_eigensolve(monkeypatch):
+def test_shell_states_inside_floor_runs_no_eigensolve(monkeypatch):
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("eigen-solve inside the spectral floor")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
     for dim in (4, 9, 16):
         radius = 0.999 / np.sqrt(dim * (dim - 1))
-        batch = shell_batch(np.random.default_rng(dim), dim, radius, shell_chunk(dim))
+        u = shell_uniforms(np.random.default_rng(dim), dim, shell_chunk(dim))
+        batch = shell_states(u, dim, radius)
         assert len(batch) == shell_chunk(dim)
 
 
