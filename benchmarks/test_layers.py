@@ -1,6 +1,7 @@
 """Per-layer timings of the shell sampler, the claim check and the witness search.
 
-Run from the root of a checkout with pytest-benchmark installed:
+Run from the root of a checkout with the `bench` extra installed
+(`pip install -e ".[test,bench]"`, which brings pytest-benchmark):
 
     python -m pytest benchmarks --benchmark-json BENCH_<label>.json
 

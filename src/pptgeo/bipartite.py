@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import serialize
 from .linalg import DimensionMismatch
 from .states import DensityMatrix, PureState
 
@@ -33,6 +34,8 @@ class BipartiteSplit:
     n: int
 
     def __post_init__(self):
+        for name in ("m", "n"):
+            serialize.check_int(name, getattr(self, name))
         if self.m < 2 or self.n < 2:
             raise ValueError(f"both factors must be >= 2, got {self.m} x {self.n}")
 

@@ -132,8 +132,10 @@ def _werner_point(d: int, p: float) -> tuple[float, float]:
 def werner_sweep(qudit_dim: int, grid_points: int = 21) -> SweepReport:
     """Sweep the Werner family of a d (x) d system over a mixing grid."""
     d = qudit_dim
+    serialize.check_int("qudit_dim", d)
     if not 2 <= d <= 8:
         raise ValueError(f"qudit_dim must lie in 2..8, got {d}")
+    serialize.check_int("grid_points", grid_points)
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     rows = []
@@ -334,6 +336,7 @@ def shell_scan(total_dim: int, split: BipartiteSplit, radii, samples_per_shell: 
     surface as accepted = 0 rather than an error.  `base_seed` must be an
     integer >= 0.
     """
+    serialize.check_int("total_dim", total_dim)
     split.check_dim(total_dim)
     radii = [float(r) for r in radii]
     outer = ball_radius(total_dim)
@@ -385,8 +388,10 @@ def spectrum_check(split: BipartiteSplit, trials: int, seed: int) -> SpectrumChe
     max-abs.  All states are drawn first, then their partial transposes are
     solved as one stack.
     """
+    serialize.check_int("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    serialize.check_seed(seed)
     rng = np.random.default_rng(seed)
     psis = [sample_pure(rng, split.dim) for _ in range(trials)]
     analytic = np.stack([pt_spectrum_analytic(schmidt(psi, split), split) for psi in psis])
@@ -452,6 +457,7 @@ def claim_check(qudit_dim: int, samples: int = DEFAULT_SAMPLES_PER_SHELL,
     which every state is PPT, and at d = 3..6 the probe refutes the claim.
     """
     d = qudit_dim
+    serialize.check_int("qudit_dim", d)
     if not 2 <= d <= 6:
         raise ValueError(f"qudit_dim must lie in 2..6, got {d}")
     serialize.check_int("samples", samples)

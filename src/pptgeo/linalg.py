@@ -7,8 +7,7 @@ exact by symmetrizing, so a validated matrix equals its conjugate
 transpose bit for bit.  States are validated once, where they enter
 (`DensityMatrix`, JSON load); partial transposes of them stay Hermitian to
 the bit, so the modules downstream call numpy's eigen-solvers directly,
-or settle which side of a threshold a smallest eigenvalue lies on by a
-Cholesky factorization (`min_eig_at_least`).
+or bound a smallest eigenvalue by Cholesky factorization (`cholesky_passes`).
 """
 
 from __future__ import annotations
@@ -87,14 +86,12 @@ def cholesky_margin(dim: int) -> float:
     return 100.0 * dim**2.5 * np.finfo(np.float64).eps / 2
 
 
-def cholesky_passes(stack: np.ndarray, shift: float | np.ndarray, rows: np.ndarray | None = None,
+def cholesky_passes(stack: np.ndarray, shift: float, rows: np.ndarray | None = None,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Whether A - shift I passes a Cholesky factorization, for each matrix A
     of a (k, N, N) Hermitian stack, or of its matrices at the indices `rows`:
-    a bool per matrix tested.  `shift` is a scalar or one value per matrix
-    tested (the shell screen's threshold differs by row).  The matrices are
-    copied into `out` (a complex stack at least as long; by default a fresh
-    one) and factored there.
+    a bool per matrix tested.  The matrices are copied into `out` (a complex
+    stack at least as long; by default a fresh one) and factored there.
 
     One call of numpy's stacked kernel (`np.linalg.cholesky` calls the
     same one), which leaves NaN in the factor of a matrix that fails where
@@ -113,21 +110,8 @@ def cholesky_passes(stack: np.ndarray, shift: float | np.ndarray, rows: np.ndarr
         # mode="clip" writes into `out` directly; "raise" would stage a copy.
         np.take(stack, rows, axis=0, out=shifted, mode="clip")
     dim = shifted.shape[-1]
-    shifted.reshape(count, dim * dim)[:, :: dim + 1] -= np.reshape(shift, (-1, 1))
+    shifted.reshape(count, dim * dim)[:, :: dim + 1] -= shift
     with np.errstate(invalid="ignore"):
         factor = _umath_linalg.cholesky_lo(shifted, signature="D->D", out=shifted)
     return ~np.isnan(factor[:, -1, -1].real)
 
-
-def min_eig_at_least(stack: np.ndarray, threshold: float) -> np.ndarray:
-    """`np.linalg.eigvalsh(stack)[:, 0] >= threshold` for a (k, N, N) stack of
-    matrices as `cholesky_margin` describes, eigen-solving only the rows that
-    the Cholesky certificate leaves open: those that neither pass at
-    threshold + margin nor fail at threshold - margin."""
-    margin = cholesky_margin(stack.shape[-1])
-    above = cholesky_passes(stack, threshold + margin)
-    rest = np.flatnonzero(~above)
-    unsure = rest[cholesky_passes(stack, threshold - margin, rest)]
-    if unsure.size:
-        above[unsure] = np.linalg.eigvalsh(stack[unsure])[:, 0] >= threshold
-    return above

@@ -6,12 +6,11 @@ reproducible: PCG64 supplies uniforms and Gaussians come from a vectorized
 Box-Muller transform, so a seed pins the output bit-for-bit.  Shell samples
 are drawn in stacks whose output and stream match drawing them one at a
 time.  A shell scan's stacks first pass a screen on single-precision
-normals (`shell_screen`), which settles most PSD verdicts by a Cholesky
-certificate with SCREEN_MARGIN to spare; only the attempts it leaves open
-take the exact float64 path (`shell_states`), which `shell_attempt` runs
-alone.  There stacked traces and norms reduce each sample in numpy's
-per-matrix order, and the PSD test settles rows by closed-form bounds, then
-by a Cholesky certificate, and eigen-solves only the rows both leave open.
+normals (`shell_screen`); only the attempts it leaves open take the exact
+float64 path (`shell_states`), which `shell_attempt` runs alone, where
+stacked traces and norms reduce each sample in numpy's per-matrix order.
+Both take their PSD verdicts from one certificate (`_psd_verdicts`), at
+two margins, and the float64 path eigen-solves the rows it leaves open.
 The generator identity string is recorded in every report header.
 """
 
@@ -22,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DimensionMismatch, as_hermitian, cholesky_margin, cholesky_passes, min_eig_at_least
+from .linalg import DimensionMismatch, as_hermitian, cholesky_margin, cholesky_passes
 
 GENERATOR_ID = "pcg64+box-muller"
 
@@ -57,7 +56,7 @@ def _box_muller(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Row 0 of the pair axis feeds the radius and row 1 the angle, so one
     PCG64 draw of that shape is the stream order of drawing all u1, then all
-    u2, one set of pairs after another.  (`_float32_gram` runs the same
+    u2, one set of pairs after another.  (`_float32_candidates` runs the same
     transform in single precision.)
     """
     # 1 - random() lies in (0, 1], keeping the log finite.
@@ -197,9 +196,9 @@ class ShellWork:
 
     Three (count, N, N) complex stacks each hold one stage after another:
 
-    - `candidates`: the normals G, then the screened candidates.
-    - `pt`: the Box-Muller stages, then rho0' = G G† / tr, then the
-      candidates' partial transposes.
+    - `candidates`: the normals G, then the accepted screened candidates.
+    - `pt`: the Box-Muller stages, then G G† and from it every row's
+      screened candidate, then the accepted ones' partial transposes.
     - `scratch`: the chunk's uniforms (`draw`), then the conjugate of G,
       then where `cholesky_passes` factors.
 
@@ -291,18 +290,30 @@ def _check_traces(stack: np.ndarray) -> None:
         raise ValueError(f"shell sample trace deviates from 1 by {trace_dev:.3e}")
 
 
-def _inside_floor(dim: int, radius: float) -> bool:
-    """Whether `radius` lies within the spectral floor 1/sqrt(N(N-1)), inside
-    which every shell candidate is PSD (see shell_states)."""
-    return radius <= 1.0 / np.sqrt(dim * (dim - 1))
+def _psd_verdicts(candidates: np.ndarray, scale: np.ndarray, dim: int, radius: float, margin: float,
+                  scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(rejected, accepted): bools per row of a stack of shell candidates
+    (1 - s) I/N + s rho0, with s = `scale`, at HS distance `radius` from I/N,
+    settled as `eigvalsh(c)[0] >= -SHELL_PSD_TOL` settles the float64
+    candidate c, or left open.  `margin` is `cholesky_margin(N)` plus how
+    far a row may lie from c in HS norm, by Weyl's inequality as far as each
+    eigenvalue may.
 
-
-def _psd_bounds(dim: int, scale: np.ndarray, radius: float) -> np.ndarray:
-    """Rows of a shell-candidate stack, with rescale factors `scale`, that
-    closed-form bounds certify as accepted (see shell_states)."""
-    if _inside_floor(dim, radius):
-        return np.ones(len(scale), dtype=bool)
-    return scale <= 1.0
+    - Inside the spectral floor 1/sqrt(N(N-1)) every row is accepted (a
+      traceless Hermitian matrix of HS norm r has no eigenvalue below
+      -r sqrt((N-1)/N)), and beyond it every row with (1 - s)/N >= margin.
+    - Of the others, a row that fails to factor (`cholesky_passes`, in
+      `scratch`) at -SHELL_PSD_TOL - margin is rejected, and one that passes
+      at -SHELL_PSD_TOL + margin accepted.
+    """
+    rejected, accepted = np.zeros(len(candidates), dtype=bool), np.ones(len(candidates), dtype=bool)
+    if radius > 1.0 / np.sqrt(dim * (dim - 1)):
+        rows = np.flatnonzero((1.0 - scale) / dim < margin)
+        rejected[rows] = ~cholesky_passes(candidates, -SHELL_PSD_TOL - margin, rows, scratch)
+        rest = rows[~rejected[rows]]
+        accepted[rows] = False
+        accepted[rest] = cholesky_passes(candidates, margin - SHELL_PSD_TOL, rest, scratch)
+    return rejected, accepted
 
 
 def _float64_candidates(u: np.ndarray, dim: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -331,19 +342,16 @@ def shell_states(u: np.ndarray, dim: int, radius: float) -> np.ndarray:
     An attempt rescales the traceless part Delta of an HS-random state rho0
     to HS norm `radius`, giving I/N + s Delta = (1 - s) I/N + s rho0, and
     is rejected when that leaves the PSD cone (smallest eigenvalue below
-    -SHELL_PSD_TOL).  It is a certified accept when s <= 1 (a convex mix of
-    PSD matrices) or radius <= 1/sqrt(N(N-1)), the spectral floor (a
-    traceless Hermitian matrix of HS norm r has no eigenvalue below
-    -r sqrt((N-1)/N)); rounding moves these bounds by order N eps, far
-    inside the eigen-solve's own tolerance.  The other rows take
-    `min_eig_at_least`, which eigen-solves only those that its Cholesky
-    certificate leaves within `cholesky_margin(N)` of the threshold.
+    -SHELL_PSD_TOL).  `_psd_verdicts` at `cholesky_margin(N)` settles what
+    it can, and the rows it leaves open take one stacked eigen-solve.
     """
     if not len(u):
         return np.empty((0, dim, dim), dtype=np.complex128)
     candidates, scale = _float64_candidates(u, dim, radius)
-    keep = _psd_bounds(dim, scale, radius)
-    keep[~keep] = min_eig_at_least(candidates[~keep], -SHELL_PSD_TOL)
+    rejected, keep = _psd_verdicts(candidates, scale, dim, radius, cholesky_margin(dim))
+    open_rows = np.flatnonzero(~(rejected | keep))
+    if open_rows.size:
+        keep[open_rows] = np.linalg.eigvalsh(candidates[open_rows])[:, 0] >= -SHELL_PSD_TOL
     accepted = candidates[keep]
     _check_traces(accepted)
     return accepted
@@ -357,14 +365,16 @@ class ShellScreen(NamedTuple):
     candidates: np.ndarray  # the screened candidates of the accepted attempts
 
 
-def _float32_gram(u: np.ndarray, dim: int, radius: float, work: ShellWork) -> tuple[np.ndarray, np.ndarray]:
-    """rho0' = w / tr w, with w = G G† of the single-precision normals of
-    shell uniforms (k, 2, N^2), and the rescale factors s' = radius / ||Delta'||.
+def _float32_candidates(u: np.ndarray, dim: int, radius: float,
+                        work: ShellWork) -> tuple[np.ndarray, np.ndarray]:
+    """The screened candidates c' = I/N + s' Delta' of shell uniforms (k, 2,
+    N^2), Delta' the traceless part of w / tr w with w = G G† of their
+    single-precision normals, and the rescale factors s' = radius / ||Delta'||.
 
     The normals come from the Box-Muller transform in single precision:
     the float64 radius rounded, and a float32 angle, cosine and sine.  The
-    transform is staged in `work.pt`, which rho0' then overwrites; u may be
-    `work.draw`'s, which the conjugate of G overwrites once u is read.
+    transform is staged in `work.pt`, where c' is then built in place; u
+    may be `work.draw`'s, which the conjugate of G overwrites once u is read.
     """
     count, n2 = len(u), dim * dim
     g = work.candidates[:count]
@@ -392,52 +402,24 @@ def _float32_gram(u: np.ndarray, dim: int, radius: float, work: ShellWork) -> tu
     flat = w.reshape(count, n2).view(np.float64)
     scale = radius / np.sqrt(np.einsum("ij,ij->i", flat, flat) / (trace * trace) - 1.0 / dim)
     _scale_rows(w, 1.0 / trace)
-    return w, scale
+    _shift_diagonal(w, -1.0 / dim)
+    return _to_shell(w, scale, dim), scale
 
 
 def shell_screen(u: np.ndarray, dim: int, radius: float, work: ShellWork) -> ShellScreen:
     """The PSD verdicts that the single-precision screen settles for shell
-    uniforms (k, 2, N^2), and the screened candidates c' = I/N + s' Delta'
-    of the attempts it accepts, each checked for unit trace.  Every stack
-    is staged in `work`; the candidates are a view of `work.candidates`.
-
-    From float32 normals (`_float32_gram`), c' has the smallest eigenvalue
-    1/N - s' (1/N - lambda_min(rho0')), which lies below a level L exactly
-    when lambda_min(rho0') lies below tau(L) = 1/N - (1/N - L) / s' (taken
-    no lower than -1, below which no eigenvalue of rho0' lies).  With m =
-    `cholesky_margin(N)`, every row is accepted inside the spectral floor
-    (see `shell_states`), and so is one with (1 - s') / N >= SCREEN_MARGIN
-    + m, since c' = (1 - s') I/N + s' rho0'.  Of the others, a row is
-    rejected when rho0' - (tau - m) I fails to factor (`cholesky_passes`)
-    at L = -SHELL_PSD_TOL - SCREEN_MARGIN, accepted when rho0' - (tau + m) I
-    factors at L = -SHELL_PSD_TOL + SCREEN_MARGIN, and left open otherwise.
-    The float64 candidate lies within 4e-7 of c' in HS norm (measured for
-    N = 4..36; the tests assert SCREEN_MARGIN / 100), so by Weyl's
-    inequality each settled row gets the verdict that `shell_states` gives.
+    uniforms (k, 2, N^2), and the screened candidates of the attempts it
+    accepts, each checked for unit trace, as a view of `work.candidates`
+    (every stack is staged in `work`).  The verdicts are `_psd_verdicts` on
+    every row's candidate c' (`_float32_candidates`) at SCREEN_MARGIN +
+    `cholesky_margin(N)`, the verdicts of `shell_states`: its float64
+    candidate lies within SCREEN_MARGIN / 100 of c' (see SCREEN_MARGIN).
     """
-    count = len(u)
-    rho0, scale = _float32_gram(u, dim, radius, work)
-    rejected, accepted = np.zeros(count, dtype=bool), np.ones(count, dtype=bool)
-    margin = cholesky_margin(dim)
-    if not _inside_floor(dim, radius):
-        rows = np.flatnonzero((1.0 - scale) / dim < SCREEN_MARGIN + margin)
-        scale_rows = scale[rows]
-
-        def threshold(level):
-            # lambda_min(c') < level exactly when lambda_min(rho0') lies below
-            # this; no eigenvalue of rho0' lies below -1.
-            return np.maximum(1.0 / dim - (1.0 / dim - level) / scale_rows, -1.0)
-
-        rejected[rows] = ~cholesky_passes(rho0, threshold(-SHELL_PSD_TOL - SCREEN_MARGIN) - margin,
-                                          rows, work.scratch)
-        rest = np.flatnonzero(~rejected[rows])
-        accepted[rows] = False
-        accepted[rows[rest]] = cholesky_passes(rho0, threshold(SCREEN_MARGIN - SHELL_PSD_TOL)[rest] + margin,
-                                               rows[rest], work.scratch)
+    candidates, scale = _float32_candidates(u, dim, radius, work)
+    rejected, accepted = _psd_verdicts(candidates, scale, dim, radius, SCREEN_MARGIN + cholesky_margin(dim),
+                                       work.scratch)
     kept = np.flatnonzero(accepted)
-    candidates = np.take(rho0, kept, axis=0, out=work.candidates[:len(kept)], mode="clip")
-    _shift_diagonal(candidates, -1.0 / dim)
-    candidates = _to_shell(candidates, scale[kept], dim)
+    candidates = np.take(candidates, kept, axis=0, out=work.candidates[:len(kept)], mode="clip")
     _check_traces(candidates)
     return ShellScreen(rejected, accepted, candidates)
 

@@ -47,6 +47,17 @@ def reference_shell_attempt(rng, dim, radius, psd_tol=1e-12):
     return (candidate + candidate.conj().T) / 2
 
 
+def shell_attempt_at(dim, target, seed):
+    """Uniforms (1, 2, N^2) of one shell attempt drawn from default_rng(seed),
+    and the radius at which its candidate's smallest eigenvalue is `target`,
+    to rounding: at radius r the candidate is I/N + r D, with D the traceless
+    part of its state at unit HS norm, so that eigenvalue is
+    1/N + r lambda_min(D)."""
+    u = np.random.default_rng(seed).random((1, 2, dim * dim))
+    unit = reference_shell_attempt(np.random.default_rng(seed), dim, 1.0, psd_tol=np.inf)
+    return u, (target - 1 / dim) / (np.linalg.eigvalsh(unit)[0] - 1 / dim)
+
+
 def reference_min_pt_eigenvalue(mat, m, n):
     """Smallest eigenvalue of the symmetrized index-by-index partial transpose."""
     pt = reference_partial_transpose(mat, m, n)

@@ -50,6 +50,8 @@ def hs_state(dim, seed):
 def test_split_validation():
     with pytest.raises(ValueError):
         BipartiteSplit(1, 4)
+    with pytest.raises(ValueError, match="m must be an integer, got 3.0"):
+        BipartiteSplit(3.0, 3)
     with pytest.raises(DimensionMismatch):
         BipartiteSplit(2, 2).check_dim(6)
 

@@ -131,6 +131,10 @@ def test_sweep_rejects_bad_arguments():
         werner_sweep(9)
     with pytest.raises(ValueError):
         werner_sweep(2, grid_points=1)
+    with pytest.raises(ValueError, match=re.escape("qudit_dim must be an integer, got 3.0")):
+        werner_sweep(3.0)
+    with pytest.raises(ValueError, match=re.escape("grid_points must be an integer, got 2.5")):
+        werner_sweep(3, grid_points=2.5)
 
 
 def test_sweep_csv_shape():
@@ -899,6 +903,13 @@ def test_sample_counts_must_be_integers(samples):
         claim_check(2, samples=samples)
     with pytest.raises(ValueError, match=re.escape(f"samples_per_shell must be an integer, got {samples!r}")):
         shell_scan(4, BipartiteSplit(2, 2), [0.1], samples_per_shell=samples)
+    with pytest.raises(ValueError, match=re.escape(f"trials must be an integer, got {samples!r}")):
+        spectrum_check(BipartiteSplit(2, 2), samples, 0)
+    # So are the dimensions.
+    with pytest.raises(ValueError, match=re.escape(f"qudit_dim must be an integer, got {samples!r}")):
+        claim_check(samples)
+    with pytest.raises(ValueError, match=re.escape(f"total_dim must be an integer, got {samples!r}")):
+        shell_scan(samples, BipartiteSplit(2, 2), [0.1])
     # numpy integers are integers too, recorded as Python ones.
     report = claim_check(2, samples=np.int64(3))
     assert [type(row.samples) for row in report.shells.rows] == [int] * 4
@@ -916,6 +927,10 @@ def test_seeds_must_be_integers(monkeypatch, seed):
         claim_check(2, samples=20, base_seed=seed)
     with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
         shell_scan(4, BipartiteSplit(2, 2), [0.1], samples_per_shell=20, base_seed=seed)
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        spectrum_check(BipartiteSplit(2, 2), 5, seed)
+    with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+        spectrum_check(BipartiteSplit(2, 2), 5, -1)
 
 
 def test_claim_report_roundtrip_and_reverification(tmp_path):

@@ -12,11 +12,10 @@ from pptgeo.linalg import (
     cholesky_margin,
     cholesky_passes,
     hs_distance,
-    min_eig_at_least,
 )
-from pptgeo.states import SHELL_PSD_TOL, WernerParams, maximally_mixed, sample_hs, werner
+from pptgeo.states import SHELL_PSD_TOL, WernerParams, maximally_mixed, shell_states, werner
 
-from conftest import random_hermitian
+from conftest import random_hermitian, reference_shell_attempt, shell_attempt_at
 
 
 # --- as_hermitian ------------------------------------------------------------
@@ -110,10 +109,9 @@ def _unit_trace_spectra(rng, dim, lowest):
 
 @pytest.mark.parametrize("dim", [4, 9, 16, 36])
 @pytest.mark.parametrize("shift", [-0.3, -PPT_TOL, -SHELL_PSD_TOL, 0.0, 0.01])
-def test_cholesky_certificate_two_margins_from_the_shift(monkeypatch, dim, shift):
+def test_cholesky_certificate_two_margins_from_the_shift(dim, shift):
     # Smallest eigenvalue shift +- 2 margins: the factorization decides which
-    # side it lies on, and min_eig_at_least settles every row without an
-    # eigen-solve and agrees with the one it skips.
+    # side it lies on, as the eigen-solve does.
     rng = np.random.default_rng(dim)
     margin = cholesky_margin(dim)
     lowest = shift + np.tile([2 * margin, -2 * margin], 8)
@@ -124,28 +122,19 @@ def test_cholesky_certificate_two_margins_from_the_shift(monkeypatch, dim, shift
     assert ((solved > shift) == above).all()
     assert (cholesky_passes(stack, shift) == above).all()
 
-    def no_eigensolve(*args, **kwargs):
-        raise AssertionError("eigen-solve of a row two margins from the threshold")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
-    assert (min_eig_at_least(stack, shift) == above).all()
-
 
 @pytest.mark.parametrize("dim", [4, 9, 16])
 def test_shell_candidates_next_to_the_psd_threshold_go_to_the_eigensolve(monkeypatch, dim):
-    # I/N + s (rho0 - I/N) with its smallest eigenvalue placed at
-    # -SHELL_PSD_TOL +- 1e-13, inside the margin (3.6e-13 at N = 4):
-    # the certificate must leave each to eigvalsh and return its verdict.
-    rng = np.random.default_rng(dim)
-    eye = np.eye(dim) / dim
-    candidates = []
-    for target in np.tile([-SHELL_PSD_TOL + 1e-13, -SHELL_PSD_TOL - 1e-13], 4):
-        rho = sample_hs(rng, dim).matrix
-        scale = (1 / dim - target) / (1 / dim - np.linalg.eigvalsh(rho)[0])
-        candidates.append(as_hermitian(eye + scale * (rho - eye)))
-    stack = np.stack(candidates)
-    want = np.linalg.eigvalsh(stack)[:, 0] >= -SHELL_PSD_TOL
-    assert want.tolist() == [True, False] * 4
+    # Shell attempts whose float64 candidates have their smallest eigenvalue
+    # at -SHELL_PSD_TOL +- 1e-13, inside the margin (3.6e-13 at N = 4): the
+    # certificate must leave each to eigvalsh, and shell_states keep the
+    # attempts it accepts.
+    seeds = [[dim, i] for i in range(8)]
+    attempts = [shell_attempt_at(dim, -SHELL_PSD_TOL + offset, seed)
+                for seed, offset in zip(seeds, [1e-13, -1e-13] * 4)]
+    want = [reference_shell_attempt(np.random.default_rng(seed), dim, radius) is not None
+            for seed, (_, radius) in zip(seeds, attempts)]
+    assert want == [True, False] * 4
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -154,8 +143,9 @@ def test_shell_candidates_next_to_the_psd_threshold_go_to_the_eigensolve(monkeyp
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    assert (min_eig_at_least(stack, -SHELL_PSD_TOL) == want).all()
-    assert len(solved) == len(stack)
+    for (u, radius), accepted in zip(attempts, want):
+        assert len(shell_states(u, dim, radius)) == accepted
+    assert len(solved) == len(attempts)
 
 
 def test_stacked_cholesky_kernel_leaves_nan_in_failing_rows():

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from pptgeo import harness, states
 from pptgeo.bipartite import BipartiteSplit, is_ppt, min_pt_eigenvalues
 from pptgeo.harness import claim_check
-from pptgeo.linalg import hs_distance
+from pptgeo.linalg import cholesky_margin, hs_distance
 from pptgeo.states import (
+    SHELL_PSD_TOL,
     DensityMatrix,
     NotNormalized,
     PureState,
@@ -23,7 +24,7 @@ from pptgeo.states import (
     werner,
 )
 
-from conftest import reference_min_pt_eigenvalue, reference_shell_attempt, werner_min_pt_oracle
+from conftest import reference_min_pt_eigenvalue, reference_shell_attempt, shell_attempt_at, werner_min_pt_oracle
 
 
 # --- validation --------------------------------------------------------------
@@ -226,7 +227,7 @@ def test_shell_acceptance_nonincreasing_report():
 # single-precision screen drops most rows.  At N = 25, 4.9 floors lies at
 # the typical HS distance of a random state, where s is near 1, and adds
 # rows within the screen's margin of the PSD boundary, which the closed-form
-# bounds leave to the certificate.
+# accepts leave to the certificate.
 SHELL_CASES = {4: ((2, 2), (0.9, 1.5, 2.0, 2.85)), 6: ((2, 3), (0.9, 1.7, 2.2, 4.75)),
                8: ((2, 4), (0.9, 2.0, 2.6, 6.65)), 9: ((3, 3), (0.9, 2.2, 2.8, 7.6)),
                16: ((4, 4), (0.9, 2.2, 3.8, 14.25)), 25: ((5, 5), (0.9, 3.0, 4.9, 5.0, 22.8))}
@@ -241,17 +242,17 @@ def test_shell_chunk_budget():
 @pytest.mark.parametrize("dim", sorted(SHELL_CASES))
 def test_shell_states_bit_identical_to_per_sample_reference(dim, monkeypatch):
     # Rows settled by each branch of the float64 PSD decision: certified
-    # accept by the closed-form bounds, and left to the Cholesky certificate
-    # and the eigen-solve.
+    # accept in closed form (inside the spectral floor, or a margin below
+    # s = 1), and left to the Cholesky certificate and the eigen-solve.
     branches = np.zeros(2, dtype=int)
-    bounds = states._psd_bounds
+    verdicts = states._psd_verdicts
 
-    def counted_bounds(dim, scale, radius):
-        accept = bounds(dim, scale, radius)
-        branches[:] += [accept.sum(), (~accept).sum()]
-        return accept
+    def counted_verdicts(candidates, scale, dim, radius, margin, scratch=None):
+        closed = (radius <= 1 / np.sqrt(dim * (dim - 1))) | ((1.0 - scale) / dim >= margin)
+        branches[:] += [closed.sum(), (~closed).sum()]
+        return verdicts(candidates, scale, dim, radius, margin, scratch)
 
-    monkeypatch.setattr(states, "_psd_bounds", counted_bounds)
+    monkeypatch.setattr(states, "_psd_verdicts", counted_verdicts)
 
     (m, n), factors = SHELL_CASES[dim]
     chunk = shell_chunk(dim)
@@ -399,18 +400,17 @@ def test_screened_candidates_lie_within_a_hundredth_of_the_margin():
         for radius in np.linspace(0.5 / np.sqrt(dim * (dim - 1)), 0.99 * outer, 4):
             u = np.random.default_rng([dim, int(radius * 1e6)]).random((40, 2, dim * dim))
             exact, _ = states._float64_candidates(u, dim, radius)
-            rho0, scale = states._float32_gram(u, dim, radius, states.ShellWork(dim, len(u)))
-            states._shift_diagonal(rho0, -1.0 / dim)
-            screened = states._to_shell(rho0, scale, dim)
+            screened, _ = states._float32_candidates(u, dim, radius, states.ShellWork(dim, len(u)))
             worst = max(worst, float(np.max(np.linalg.norm(screened - exact, axis=(1, 2)))))
     assert worst <= states.SCREEN_MARGIN / 100, worst
 
 
 def test_staged_float32_gram_equals_one_built_from_fresh_arrays():
-    # _float32_gram stages the float32 Box-Muller transform (the float64
-    # radius rounded, float32 angle, cosine and sine) in the memory of reused
-    # stacks; its rho0' and s' are those built from fresh arrays bit for
-    # bit, whatever an earlier chunk left in the stacks (NaN here).
+    # _float32_candidates stages the float32 Box-Muller transform (the
+    # float64 radius rounded, float32 angle, cosine and sine) and the Gram
+    # matrix in the memory of reused stacks; its c' and s' are those built
+    # from fresh arrays bit for bit, whatever an earlier chunk left in the
+    # stacks (NaN here).
     for dim in (4, 9, 16):
         count, radius = 50, 0.3
         u = np.random.default_rng(dim).random((count, 2, dim * dim))
@@ -421,7 +421,7 @@ def test_staged_float32_gram_equals_one_built_from_fresh_arrays():
         # overwrites once they are read.
         drawn = work.draw(np.random.default_rng(dim), count)
         assert drawn.tobytes() == u.tobytes()
-        rho0, scale = states._float32_gram(drawn, dim, radius, work)
+        screened, scale = states._float32_candidates(drawn, dim, radius, work)
         length = np.sqrt(-2.0 * np.log(1.0 - u[:, 0])).astype(np.float32)
         angle = u[:, 1].astype(np.float32) * np.float32(2.0 * np.pi)
         g = np.empty((count, dim * dim), dtype=np.complex128)
@@ -431,8 +431,10 @@ def test_staged_float32_gram_equals_one_built_from_fresh_arrays():
         trace = np.einsum("kii->k", w).real
         flat = w.reshape(count, -1).view(np.float64)
         want = radius / np.sqrt(np.einsum("ij,ij->i", flat, flat) / (trace * trace) - 1.0 / dim)
-        assert rho0.tobytes() == (w / trace[:, None, None]).tobytes(), dim
         assert scale.tobytes() == want.tobytes(), dim
+        fresh = w / trace[:, None, None]
+        states._shift_diagonal(fresh, -1.0 / dim)
+        assert screened.tobytes() == states._to_shell(fresh, want, dim).tobytes(), dim
 
 
 def test_redraw_gives_the_rows_of_the_last_draw():
@@ -531,13 +533,77 @@ def test_shell_states_inside_floor_runs_no_eigensolve(monkeypatch):
         assert len(batch) == shell_chunk(dim)
 
 
-def test_psd_bounds_leave_near_threshold_rows_to_the_eigensolve():
-    # The bounds only accept: s <= 1, or any row inside the spectral floor.
-    # Beyond the floor every row with s > 1 is left to the eigen-solve.
-    scale = np.array([0.5, 1.0, 1.0 + 1e-15, 1.5])
-    floor = 1 / np.sqrt(12)
-    assert states._psd_bounds(4, scale, 0.5).tolist() == [True, True, False, False]
-    assert states._psd_bounds(4, scale, floor).all()
+def test_psd_verdicts_accept_in_closed_form_a_margin_below_s_1():
+    # Closed form accepts every row inside the spectral floor and, beyond
+    # it, a row with (1 - s)/N >= margin, i.e. s <= 1 - N margin.  The other
+    # rows are left to the certificate, which rejects these candidates (an
+    # eigenvalue of -1/2, far outside the PSD cone).
+    dim, floor = 4, 1 / np.sqrt(12)
+    outside = np.tile(np.diag([-0.5, 0.5, 0.5, 0.5]).astype(np.complex128), (5, 1, 1))
+    for margin in (cholesky_margin(dim), states.SCREEN_MARGIN + cholesky_margin(dim)):
+        scale = np.array([0.5, 1 - 1.01 * dim * margin, 1 - 0.99 * dim * margin, 1.0, 1.5])
+        rejected, accepted = states._psd_verdicts(outside, scale, dim, 0.5, margin)
+        assert accepted.tolist() == [True, True, False, False, False]
+        assert rejected.tolist() == [False, False, True, True, True]
+        rejected, accepted = states._psd_verdicts(outside, scale, dim, floor, margin)
+        assert accepted.all() and not rejected.any()
+
+
+@pytest.mark.parametrize("dim", [4, 9, 16, 36])
+def test_shell_states_settles_rows_two_margins_from_the_threshold_without_an_eigensolve(
+        monkeypatch, dim):
+    # Shell attempts whose float64 candidates have their smallest eigenvalue
+    # two margins from -SHELL_PSD_TOL: the certificate settles each, with
+    # the verdict of the eigen-solve it skips.
+    margin = cholesky_margin(dim)
+    seeds = [[dim, i] for i in range(16)]
+    attempts = [shell_attempt_at(dim, -SHELL_PSD_TOL + offset, seed)
+                for seed, offset in zip(seeds, [2 * margin, -2 * margin] * 8)]
+    want = [reference_shell_attempt(np.random.default_rng(seed), dim, radius) is not None
+            for seed, (_, radius) in zip(seeds, attempts)]
+    assert want == [True, False] * 8
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigen-solve of a row two margins from the threshold")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    for (u, radius), accepted in zip(attempts, want):
+        assert len(shell_states(u, dim, radius)) == accepted
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.sampled_from([4, 9, 16]), screen=st.booleans(), offset=st.sampled_from([-2.0, -0.5, 0.5, 2.0]),
+       below=st.booleans(), fraction=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**16))
+def test_psd_verdicts_never_contradict_the_eigensolve(dim, screen, offset, below, fraction, seed):
+    # A candidate (1 - s) I/N + s rho0 whose smallest eigenvalue sits at
+    # -SHELL_PSD_TOL + offset margins, at the float64 path's margin or the
+    # screen's, with s below the closed-form edge 1 - N margin where a PSD
+    # rho0 allows it (s >= 1 - N target) and above it otherwise.  At either
+    # margin a settled verdict is the eigen-solve's, and two margins out
+    # the verdict is settled.
+    rng = np.random.default_rng(seed)
+    margins = cholesky_margin(dim), states.SCREEN_MARGIN + cholesky_margin(dim)
+    margin = margins[screen]
+    target = -SHELL_PSD_TOL + offset * margin
+    lowest_s, edge = 1 - dim * target, 1 - dim * margin
+    if below and lowest_s < edge:
+        s = lowest_s + fraction * (edge - lowest_s)
+    else:
+        s = max(lowest_s, edge) + fraction * 0.5
+    lowest = (target - (1 - s) / dim) / s
+    spectrum = np.concatenate([[lowest], lowest + (1 - dim * lowest) * rng.dirichlet(np.full(dim - 1, 5.0))])
+    v = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    eye = np.eye(dim) / dim
+    candidate = eye + s * ((v * spectrum) @ v.conj().T - eye)
+    candidate = (candidate + candidate.conj().T) / 2
+    radius = float(np.linalg.norm(candidate - eye))
+    assert radius < np.sqrt((dim - 1) / dim)
+    psd = np.linalg.eigvalsh(candidate)[0] >= -SHELL_PSD_TOL
+    for m in margins:
+        rejected, accepted = states._psd_verdicts(candidate[None], np.array([s]), dim, radius, m)
+        assert not (rejected[0] and psd) and not (accepted[0] and not psd)
+        if m == margin and abs(offset) == 2:
+            assert (accepted[0] if offset > 0 else rejected[0])
 
 
 @pytest.mark.parametrize("count", [1, 7, 50, 256])
